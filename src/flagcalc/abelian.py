@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 from .errors import DomainError, ParseError
 from .words import GeneratorSet, SignedWord, sign_char
@@ -352,10 +351,6 @@ def parse_lattice(text: str, dim: int | None = None) -> RelationLattice:
             f"lattice rows have dimension {len(rows[0])}, expected {dim}"
         )
     return RelationLattice.from_rows(rows)
-
-
-def load_lattice(path: str | Path, dim: int | None = None) -> RelationLattice:
-    return parse_lattice(Path(path).read_text(encoding="utf-8"), dim)
 
 
 def format_lattice(lattice: RelationLattice) -> str:

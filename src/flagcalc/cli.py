@@ -24,12 +24,15 @@ from typing import Callable, TextIO, Union
 
 from . import abelian, suites, trees, words
 from . import plane as planes
-from .errors import DomainError, FlagcalcError, ParseError
+from .errors import DomainError, FlagcalcError, ParseError, ResourceLimitError
 
 Binding = Union[words.SignedWord, trees.RootedPresentation, planes.FlaggedLoop]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LOOP_NAME_RE = re.compile(r"loop(\d+)")
+
+# The same bound as ``orbit``'s default ``--cap``.
+MAX_SWEEP_SAMPLES = trees.DEFAULT_CLOSURE_CAP
 
 
 @dataclass
@@ -93,7 +96,7 @@ def _positionals(args: list[str], options: dict[str, bool]) -> tuple[list[str], 
     i = 0
     while i < len(args):
         arg = args[i]
-        if arg.startswith("--"):
+        if arg.startswith("--") and arg != "--":  # a lone ``--`` is a sign pair
             name = arg[2:]
             if name not in options:
                 raise ParseError(
@@ -309,6 +312,10 @@ def _cmd_oracle(session: Session, args: list[str]) -> tuple[str, int]:
         raise ParseError("usage: oracle sweep --samples K --seed S")
     samples = _int_option(opts, "samples")
     seed = _int_option(opts, "seed")
+    if samples > MAX_SWEEP_SAMPLES:
+        raise ResourceLimitError(
+            f"oracle sweep takes at most {MAX_SWEEP_SAMPLES} samples, got {samples}"
+        )
     plane = session.plane
     if plane is None:
         plane = planes.PuncturedPlane((planes.Point.of(0, 0),))
@@ -407,6 +414,9 @@ def run_command(
         return session, None, str(exc), 2
     except FlagcalcError as exc:
         return session, None, str(exc), 1
+    except RecursionError:
+        # ``orbit`` hashes and rewrites trees recursively, one frame per level.
+        return session, None, "input nested too deeply for this command", 1
 
 
 # --- session files ---------------------------------------------------------

@@ -24,7 +24,6 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -34,8 +33,6 @@ from .errors import (
     RerouteError,
 )
 from .words import MINUS, PLUS, Sign, _check_sign
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -675,10 +672,6 @@ def parse_plane_file(text: str) -> tuple[PuncturedPlane, list[FlaggedLoop]]:
     if plane is None:
         raise ParseError("plane file is empty")
     return plane, loops
-
-
-def load_plane_file(path: str | Path) -> tuple[PuncturedPlane, list[FlaggedLoop]]:
-    return parse_plane_file(Path(path).read_text(encoding="utf-8"))
 
 
 def format_free_word(word: FreeWord) -> str:

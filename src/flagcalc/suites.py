@@ -84,8 +84,8 @@ def trees_suite() -> SuiteResult:
     gens = GeneratorSet.of("a", "b")
     for size in range(2, 6):
         for tree in trees.all_trees(size, len(gens)):
-            flipped = trees._eval(trees.flip(tree), gens)
-            straight = trees._eval(tree, gens)
+            flipped = trees.eval_tree(trees.RootedPresentation(trees.flip(tree)), gens)
+            straight = trees.eval_tree(trees.RootedPresentation(tree), gens)
             result.tick(
                 flipped == straight.involution(),
                 f"flip mismatch on a {size}-leaf tree",

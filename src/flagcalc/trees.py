@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NoReturn, Union
 
 from .errors import DomainError, ParseError, ResourceLimitError, UnknownGeneratorError
 from .words import (
@@ -77,28 +77,25 @@ class RootedPresentation:
         _check_sign(self.root_sign)
 
 
-def leaf_count(tree: PairingTree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return leaf_count(tree.left) + leaf_count(tree.right)
-
-
-def _eval(tree: PairingTree, gens: GeneratorSet) -> SignedWord:
-    if isinstance(tree, Leaf):
-        return SignedWord(gens, (SignedLetter(tree.gen, PLUS),))
-    left = _form(tree.left, tree.sigma, gens)
-    right = _form(tree.right, -tree.tau, gens)
-    return left.concat(right)
-
-
-def _form(tree: PairingTree, sign: Sign, gens: GeneratorSet) -> SignedWord:
-    word = _eval(tree, gens)
-    return word if sign > 0 else word.involution()
-
-
 def eval_tree(rooted: RootedPresentation, gens: GeneratorSet) -> SignedWord:
-    """Evaluate to a signed word; length equals the number of leaves."""
-    return _form(rooted.tree, rooted.root_sign, gens)
+    """Evaluate to a signed word; length equals the number of leaves.
+
+    Pushes signs down to the leaves: at ``-`` a node reads as the involution
+    of its ``+`` value, ``right`` at ``tau`` then ``left`` at ``-sigma``.
+    """
+    letters: list[SignedLetter] = []
+    stack = [(rooted.tree, rooted.root_sign)]
+    while stack:
+        tree, sign = stack.pop()
+        if isinstance(tree, Leaf):
+            letters.append(SignedLetter(tree.gen, sign))
+        elif sign > 0:
+            stack.append((tree.right, -tree.tau))
+            stack.append((tree.left, tree.sigma))
+        else:
+            stack.append((tree.left, -tree.sigma))
+            stack.append((tree.right, tree.tau))
+    return SignedWord(gens, tuple(letters))
 
 
 def flip(node: PairingTree) -> Node:
@@ -218,16 +215,19 @@ def iter_rooted(n_leaves: int, n_gens: int) -> Iterator[RootedPresentation]:
 
 def format_tree(rooted: RootedPresentation, gens: GeneratorSet) -> str:
     """Render as ``[<r> <tree>]`` with ``leaf:<name>`` and ``(pair <st> L R)``."""
-    return f"[{sign_char(rooted.root_sign)} {_format_bare(rooted.tree, gens)}]"
-
-
-def _format_bare(tree: PairingTree, gens: GeneratorSet) -> str:
-    if isinstance(tree, Leaf):
-        return f"leaf:{gens.names[tree.gen]}"
-    return (
-        f"(pair {sign_char(tree.sigma)}{sign_char(tree.tau)} "
-        f"{_format_bare(tree.left, gens)} {_format_bare(tree.right, gens)})"
-    )
+    parts = [f"[{sign_char(rooted.root_sign)} "]
+    stack: list[PairingTree | str] = [rooted.tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(f"leaf:{gens.names[item.gen]}")
+        else:
+            parts.append(f"(pair {sign_char(item.sigma)}{sign_char(item.tau)} ")
+            stack += [")", item.right, " ", item.left]
+    parts.append("]")
+    return "".join(parts)
 
 
 _TOKEN_RE = re.compile(r"[()\[\]]|[^\s()\[\]]+")
@@ -256,7 +256,7 @@ class _TreeParser:
         self.pos += 1
         return item
 
-    def fail(self, message: str, column: int, expected: tuple[str, ...]) -> None:
+    def fail(self, message: str, column: int, expected: tuple[str, ...]) -> NoReturn:
         raise ParseError(message, line=self.line, column=column, expected=expected)
 
     def parse_rooted(self) -> RootedPresentation:
@@ -282,38 +282,45 @@ class _TreeParser:
         return rooted
 
     def parse_tree(self) -> PairingTree:
-        token, column = self.take("'leaf:<name>'", "'(pair ...'")
-        if token == "(":
-            head, hcol = self.take("'pair'")
-            if head != "pair":
-                self.fail(f"expected 'pair', got {head!r}", hcol, ("'pair'",))
-            signs, scol = self.take("sign pair like '+-'")
-            if len(signs) != 2 or any(c not in "+-" for c in signs):
+        # Each open ``(pair`` waits here with its signs and the children read
+        # so far; a finished subtree closes every node it completes.
+        open_nodes: list[tuple[Sign, Sign, list[PairingTree]]] = []
+        while True:
+            token, column = self.take("'leaf:<name>'", "'(pair ...'")
+            if token == "(":
+                head, hcol = self.take("'pair'")
+                if head != "pair":
+                    self.fail(f"expected 'pair', got {head!r}", hcol, ("'pair'",))
+                signs, scol = self.take("sign pair like '+-'")
+                if len(signs) != 2 or any(c not in "+-" for c in signs):
+                    self.fail(
+                        f"bad sign pair {signs!r}", scol, ("two signs like '+-'",)
+                    )
+                sigma = parse_sign(signs[0], column=scol)
+                open_nodes.append((sigma, parse_sign(signs[1], column=scol + 1), []))
+                continue
+            if not token.startswith("leaf:"):
                 self.fail(
-                    f"bad sign pair {signs!r}", scol, ("two signs like '+-'",)
+                    f"bad tree token {token!r}",
+                    column,
+                    ("'leaf:<name>'", "'(pair <st> <tree> <tree>)'"),
                 )
-            left = self.parse_tree()
-            right = self.parse_tree()
-            closer, ccol = self.take("')'")
-            if closer != ")":
-                self.fail(f"expected ')', got {closer!r}", ccol, ("')'",))
-            return Node(
-                parse_sign(signs[0], column=scol),
-                parse_sign(signs[1], column=scol + 1),
-                left,
-                right,
-            )
-        if token.startswith("leaf:"):
             name = token[len("leaf:"):]
             if name not in self.gens.names:
                 raise UnknownGeneratorError(name, line=self.line, column=column)
-            return Leaf(self.gens.names.index(name))
-        self.fail(
-            f"bad tree token {token!r}",
-            column,
-            ("'leaf:<name>'", "'(pair <st> <tree> <tree>)'"),
-        )
-        raise AssertionError("unreachable")
+            tree: PairingTree = Leaf(self.gens.names.index(name))
+            while open_nodes:
+                sigma, tau, children = open_nodes[-1]
+                children.append(tree)
+                if len(children) < 2:
+                    break
+                closer, ccol = self.take("')'")
+                if closer != ")":
+                    self.fail(f"expected ')', got {closer!r}", ccol, ("')'",))
+                open_nodes.pop()
+                tree = Node(sigma, tau, children[0], children[1])
+            else:
+                return tree
 
 
 def parse_tree(text: str, gens: GeneratorSet, *, line: int = 1) -> RootedPresentation:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Mapping
+from typing import Iterator, Literal, Mapping, NamedTuple
 
 from .errors import DomainError, ParseError, UnknownGeneratorError
 
@@ -83,17 +83,14 @@ class GeneratorSet:
             raise DomainError(f"unknown generator {name!r}") from None
 
 
-@dataclass(frozen=True)
-class SignedLetter:
-    """A single occurrence ``c_i^sign``; ``gen`` indexes the generator set."""
+class SignedLetter(NamedTuple):
+    """A single occurrence ``c_i^sign``; ``gen`` indexes the generator set.
+
+    A letter is checked by the :class:`SignedWord` it enters, not here.
+    """
 
     gen: int
     sign: Sign
-
-    def __post_init__(self) -> None:
-        if self.gen < 0:
-            raise DomainError(f"generator index must be nonnegative, got {self.gen}")
-        _check_sign(self.sign)
 
     def flipped(self) -> "SignedLetter":
         return SignedLetter(self.gen, -self.sign)
@@ -108,11 +105,10 @@ class SignedWord:
 
     def __post_init__(self) -> None:
         n = len(self.gens)
-        for letter in self.letters:
-            if letter.gen >= n:
-                raise DomainError(
-                    f"letter index {letter.gen} out of range for {n} generators"
-                )
+        for gen, sign in self.letters:
+            if not 0 <= gen < n:
+                raise DomainError(f"letter index {gen} out of range for {n} generators")
+            _check_sign(sign)
 
     @classmethod
     def empty(cls, gens: GeneratorSet) -> "SignedWord":
@@ -176,10 +172,6 @@ class CanonicalPolicy:
                 raise DomainError(
                     f"override for {str(key)!r} must pick the word or its involution"
                 )
-
-    @classmethod
-    def lex_least(cls) -> "CanonicalPolicy":
-        return cls("lex")
 
     @classmethod
     def keeping(cls, words: list[SignedWord]) -> "CanonicalPolicy":

@@ -1,9 +1,11 @@
 import io
+import random
 from pathlib import Path
 
 import pytest
 
 from flagcalc.cli import (
+    MAX_SWEEP_SAMPLES,
     Session,
     main,
     parse_expression,
@@ -76,6 +78,11 @@ class TestWordCommands:
         lines = out.splitlines()
         assert lines[0] == "orbit size: 4"
         assert lines[1:] == sorted(lines[1:])
+
+    def test_orbit_reads_the_minus_minus_sign_pair(self):
+        _, out, err, code = run(fresh(), "orbit [+ (pair -- leaf:a leaf:b)]")
+        assert code == 0, err
+        assert out.splitlines()[0] == "orbit size: 4"
 
     def test_orbit_cap_is_a_domain_error(self):
         _, out, err, code = run(fresh(), "orbit [+ (pair +- leaf:a leaf:b)] --cap 1")
@@ -151,6 +158,17 @@ class TestGeometryCommands:
         _, out, _, _ = run(session, "wind loop3")
         assert out == "(1, 1)"
 
+    def test_minus_minus_sum(self):
+        session = Session()
+        run(session, f"plane load {DATA / 'loops.plane'}")
+        assert run(session, "wind loop1")[1] == "(1, 0)"
+        assert run(session, "wind loop2")[1] == "(0, 1)"
+        _, out, err, code = run(session, "sum -- loop1 loop2 --base (1/3,-12)")
+        assert code == 0, err
+        assert out.startswith("loop3 = loop 0 F (1/3,-12)")
+        # (-,-) adds -w1 + w2.
+        assert run(session, "wind loop3")[1] == "(-1, 1)"
+
     def test_unknown_loop_is_domain_error(self):
         session = Session()
         run(session, f"plane load {DATA / 'loops.plane'}")
@@ -162,6 +180,12 @@ class TestGeometryCommands:
         assert code == 0
         assert out.splitlines()[0] == "oracle sweep: samples=4 seed=2"
         assert out.splitlines()[-1] == "result: PASS"
+
+    def test_oracle_sweep_samples_are_capped(self):
+        line = f"oracle sweep --samples {MAX_SWEEP_SAMPLES + 1} --seed 2"
+        _, out, err, code = run(Session(), line)
+        assert (out, code) == (None, 1)
+        assert f"at most {MAX_SWEEP_SAMPLES} samples" in err
 
     def test_oracle_sweep_needs_seed(self):
         _, _, err, code = run(Session(), "oracle sweep --samples 4")
@@ -251,6 +275,55 @@ class TestScriptRunner:
             "oracle sweep --samples 3 --seed 5\n"
         )
         assert script_output(text) == script_output(text)
+
+
+def deep_word(n: int = 10_000) -> list[str]:
+    rng = random.Random(4)
+    return [rng.choice(("a+", "a-", "b+", "b-")) for _ in range(n)]
+
+
+def left_comb(letters: list[str]) -> str:
+    """The literal ``word2tree`` prints, built from the word's text."""
+    names = [letter[:-1] for letter in letters]
+    neg = {"+": "-", "-": "+"}
+    signs = [letter[-1] for letter in letters]
+    inner = f"(pair {signs[0]}{neg[signs[1]]} leaf:{names[0]} leaf:{names[1]})"
+    opened = "".join(f"(pair +{neg[s]} " for s in reversed(signs[2:]))
+    closed = "".join(f" leaf:{name})" for name in names[2:])
+    return f"[+ {opened}{inner}{closed}]"
+
+
+class TestDeepTrees:
+    """A 10^4-letter word makes a left comb 10^4 levels deep."""
+
+    def test_word2tree_and_eval(self):
+        letters = deep_word()
+        word, literal = " ".join(letters), left_comb(letters)
+        out, err, code = script_output(f"gens a b\nword2tree {word}\nab a+\n")
+        assert (out, err, code) == (f"generators: a b\n{literal}\n(1, 0)\n", "", 0)
+        out, err, code = script_output(f"gens a b\neval {literal}\n")
+        assert (out, err, code) == (f"generators: a b\n{word}\n", "", 0)
+
+    def test_orbit_fails_with_one_error_line_and_the_batch_goes_on(self):
+        literal = left_comb(deep_word())
+        out, err, code = script_output(f"gens a b\norbit {literal}\nab a+\n")
+        assert (out, code) == ("generators: a b\n(1, 0)\n", 1)
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_session_save_load_save(self, tmp_path):
+        letters = deep_word()
+        word, literal = " ".join(letters), left_comb(letters)
+        path = tmp_path / "deep.session"
+        path.write_text(
+            f"gens a b\npolicy lex\nbind t tree {literal}\nbind w word {word}\n"
+        )
+        first, second = tmp_path / "one.session", tmp_path / "two.session"
+        out, err, code = script_output(
+            f"load {path}\nsave {first}\nload {first}\nsave {second}\neval t\n"
+        )
+        assert (err, code) == ("", 0)
+        assert out.endswith(f"saved {second}\n{word}\n")
+        assert first.read_bytes() == second.read_bytes() == path.read_bytes()
 
 
 class TestMain:

@@ -60,6 +60,17 @@ class TestGeneratorSet:
             GENS.index("q")
 
 
+class TestLetterChecks:
+    """A letter is checked when it enters a word."""
+
+    @pytest.mark.parametrize(
+        "letter", [SignedLetter(-1, PLUS), SignedLetter(0, 0), SignedLetter(3, MINUS)]
+    )
+    def test_word_rejects_bad_letters(self, letter):
+        with pytest.raises(DomainError):
+            SignedWord(GENS, (letter,))
+
+
 class TestParsing:
     def test_two_letter_example(self):
         word = w("a+ b-")
