@@ -65,10 +65,6 @@ class AbelianVector:
         if not self.coords:
             raise DomainError("abelian vector needs at least one coordinate")
 
-    @classmethod
-    def zero(cls, dim: int) -> "AbelianVector":
-        return cls((0,) * dim)
-
     @property
     def dim(self) -> int:
         return len(self.coords)

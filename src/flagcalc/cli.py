@@ -335,10 +335,10 @@ def _cmd_check(session: Session, args: list[str]) -> tuple[str, int]:
             f"unknown suite {args[0]!r}",
             expected=tuple(sorted(suites.SUITES)) + ("all",),
         )
-    results = suites.run_suites(names)
     lines = []
     failed = False
-    for result in results:
+    for name in names:
+        result = suites.SUITES[name]()
         if result.passed:
             lines.append(f"{result.name}: PASS ({result.checks} checks)")
         else:

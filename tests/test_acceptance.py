@@ -1,252 +1,46 @@
-"""End-to-end acceptance sweep.
+"""End-to-end acceptance gate.
 
-One test per shipped guarantee, each an exhaustive or seeded zero-failure
-sweep over the library primitives.  Every test prints a single PASS line so
-transcripts stay greppable; all geometry and lattice checks are exact with
-no tolerance parameters anywhere.
+Criteria 1-7 are the seven built-in ``check`` suites, each an exhaustive or
+seeded zero-failure sweep, so ``flagcalc -c "check all"`` runs the same gate.
+Criterion 8 is CLI transcript determinism against the golden file.  All
+geometry and lattice checks are exact with no tolerance parameters anywhere.
 """
 
 import os
 import shutil
 import subprocess
 import sys
-from fractions import Fraction
-from itertools import product
 from pathlib import Path
-from random import Random
+
+import pytest
 
 import flagcalc
-from flagcalc.abelian import (
-    RelationLattice,
-    abelianize,
-    diagram_check,
-    multiset_quotient,
-)
-from flagcalc.plane import (
-    DEFAULT_BASE_POINTS,
-    Point,
-    PuncturedPlane,
-    connected_sum,
-    connected_sum_auto,
-    crossing_word,
-    normalize_flag,
-    sample_loops,
-    verify_group_law,
-    winding_number,
-    winding_profile,
-)
-from flagcalc.trees import (
-    all_trees,
-    eval_tree,
-    flip,
-    iter_rooted,
-    move_closure,
-    word_to_tree,
-    RootedPresentation,
-)
-from flagcalc.words import (
-    MINUS,
-    PLUS,
-    GeneratorSet,
-    PresentationClass,
-    class_of,
-    check_commutation_law,
-    iter_words,
-    pair,
-    parse_word,
-)
+from flagcalc import suites
 
 DATA = Path(__file__).parent / "data"
-SIGNS = (PLUS, MINUS)
-SEED = 20260814
+
+# Exact check counts of criteria 1-7, in order.  A count may rise when a
+# sweep grows, but it must never fall: a lower count means a sweep checks less.
+CRITERIA = {
+    "involution": 10_575,
+    "laws": 64,
+    "trees": 121_920,
+    "assoc": 27,
+    "monoid": 516,
+    "homology": 24_116,
+    "oracle": 550,
+}
 
 
-def test_criterion_1_involution_suite():
-    gens = GeneratorSet.of("a", "b", "c")
-    universe = list(iter_words(gens, 4))
-    assert len(universe) == 1555
-    for w in universe:
-        assert w.involution().involution() == w
-        assert class_of(w) == class_of(w.involution())
-    pairs = 0
-    for u in universe:
-        for v in universe:
-            if len(u) + len(v) > 4:
-                continue
-            assert u.concat(v).involution() == v.involution().concat(u.involution())
-            pairs += 1
-    assert pairs > 0
-    print("CRITERION 1: PASS (involution laws, exhaustive length <= 4, N=3)")
-
-
-def test_criterion_2_four_pairing_laws():
-    gens = GeneratorSet.of("a", "b", "c", "d")
-    classes = [class_of(parse_word(f"{name}+", gens)) for name in gens.names]
-    checks = 0
-    for a in classes:
-        for b in classes:
-            for sigma in SIGNS:
-                for tau in SIGNS:
-                    assert check_commutation_law(a, sigma, tau, b)
-                    checks += 1
-    assert checks == 4 * 4 * 4
-    print("CRITERION 2: PASS (pairing commutation law, all pairs, N=4)")
-
-
-def test_criterion_3_tree_suite():
-    gens = GeneratorSet.of("a", "b")
-    for n in range(2, 6):
-        for tree in all_trees(n, len(gens)):
-            plain = eval_tree(RootedPresentation(tree), gens)
-            assert eval_tree(RootedPresentation(flip(tree)), gens) == plain.involution()
-    for w in iter_words(gens, 5):
-        if len(w) == 0:
-            continue
-        assert eval_tree(word_to_tree(w), gens) == w
-    seen = set()
-    for n in range(1, 5):
-        for rooted in iter_rooted(n, len(gens)):
-            if rooted in seen:
-                continue
-            orbit = move_closure(rooted)
-            seen |= orbit
-            target = class_of(eval_tree(rooted, gens))
-            for member in orbit:
-                assert class_of(eval_tree(member, gens)) == target
-    print("CRITERION 3: PASS (flip law <= 5 leaves, round trip <= 5, orbits <= 4)")
-
-
-def test_criterion_4_associativity_of_kept_products():
-    gens = GeneratorSet.of("a", "b", "c")
-
-    def kept(x: PresentationClass, y: PresentationClass) -> PresentationClass:
-        return PresentationClass.from_canonical(pair(x, PLUS, MINUS, y))
-
-    generators = [class_of(parse_word(f"{name}+", gens)) for name in gens.names]
-    triples = 0
-    for a in generators:
-        for b in generators:
-            for c in generators:
-                left = pair(kept(a, b), PLUS, MINUS, c)
-                right = pair(a, PLUS, MINUS, kept(b, c))
-                assert left == right
-                triples += 1
-    assert triples == 27
-    print("CRITERION 4: PASS (triple products associate as words, N=3)")
-
-
-def test_criterion_5_monoid_not_group():
-    gens = GeneratorSet.of("a", "b", "c")
-    count = 0
-    for w in iter_words(gens, 3):
-        if len(w) == 0:
-            continue
-        doubled = w.concat(w.involution())
-        assert len(doubled) > 0
-        assert abelianize(doubled).is_zero
-        count += 1
-    assert count == 6 + 36 + 216
-    print("CRITERION 5: PASS (w * inv(w) never cancels, abelianizes to zero)")
-
-
-def _rational_preimage(rows, vec):
-    """Independent membership verdict; None when rows are dependent."""
-    k, dim = len(rows), len(vec)
-    aug = [
-        [Fraction(rows[i][j]) for i in range(k)] + [Fraction(vec[j])]
-        for j in range(dim)
-    ]
-    rank = 0
-    for col in range(k):
-        hit = next((j for j in range(rank, dim) if aug[j][col]), None)
-        if hit is None:
-            continue
-        aug[rank], aug[hit] = aug[hit], aug[rank]
-        divisor = aug[rank][col]
-        aug[rank] = [x / divisor for x in aug[rank]]
-        for j in range(dim):
-            if j != rank and aug[j][col]:
-                f = aug[j][col]
-                aug[j] = [x - f * y for x, y in zip(aug[j], aug[rank])]
-        rank += 1
-        if rank == dim:
-            break
-    if any(aug[j][k] for j in range(rank, dim)):
-        return False
-    if rank < k:
-        return None
-    return all(aug[i][k].denominator == 1 for i in range(k))
-
-
-def test_criterion_6_homology_suite():
-    gens = GeneratorSet.of("a", "b")
-    lattice = RelationLattice.from_rows([[2, 0]])
-    universe = list(iter_words(gens, 3))
-    for u in universe:
-        for v in universe:
-            uv = u.concat(v)
-            assert multiset_quotient(uv) == multiset_quotient(u) + multiset_quotient(v)
-            assert abelianize(uv) == abelianize(u) + abelianize(v)
-            assert diagram_check(u, v, lattice)
-
-    rng = Random(SEED)
-    zero = (0, 0, 0)
-    for trial in range(100):
-        rows = [
-            [rng.randint(-3, 3) for _ in range(3)]
-            for _ in range(rng.randint(1, 3))
-        ]
-        lat = RelationLattice.from_rows(rows, dim=3)
-        combos = {
-            tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(3))
-            for coeffs in product(range(-4, 5), repeat=len(rows))
-        }
-        for vec in sorted(combos)[:: max(1, len(combos) // 12)]:
-            assert lat.contains(vec), (trial, rows, vec)
-            assert lat.reduce(vec) == zero, (trial, rows, vec)
-        for _ in range(4):
-            vec = tuple(rng.randint(-6, 6) for _ in range(3))
-            verdict = _rational_preimage(rows, vec)
-            reduced = lat.reduce(vec)
-            assert lat.reduce(reduced) == reduced, (trial, rows, vec)
-            if verdict is None:
-                continue
-            assert lat.contains(vec) == verdict, (trial, rows, vec)
-            assert (reduced == zero) == verdict, (trial, rows, vec)
-    print("CRITERION 6: PASS (tower homomorphisms, reduction vs membership oracle)")
-
-
-def test_criterion_7_oracle_suite():
-    one = PuncturedPlane((Point.of(0, 0),))
-    origin = one.punctures[0]
-
-    report = verify_group_law(one, samples=50, seed=SEED)
-    assert report.passed, report.failures
-    for loop in sample_loops(one, 50, SEED):
-        assert abs(winding_number(loop, origin)) <= 3
-
-    loops = sample_loops(one, 100, SEED + 1)
-    for i in range(50):
-        l1, l2 = loops[2 * i], loops[2 * i + 1]
-        w1 = winding_number(l1, origin)
-        w2 = winding_number(l2, origin)
-        for sigma in SIGNS:
-            for tau in SIGNS:
-                total = connected_sum_auto(l1, sigma, tau, l2, one)
-                assert winding_number(total, origin) == sigma * w1 - tau * w2
-
-    two = PuncturedPlane((Point.of(0, 0), Point.of(10, 0)))
-    base = DEFAULT_BASE_POINTS[0]
-    pairs = sample_loops(two, 100, SEED + 2)
-    for i in range(50):
-        n1 = normalize_flag(pairs[2 * i], base, two)
-        n2 = normalize_flag(pairs[2 * i + 1], base, two)
-        total = connected_sum(n1, PLUS, MINUS, n2, base, two)
-        left = crossing_word(total, two)
-        right = crossing_word(n1, two) * crossing_word(n2, two)
-        assert left == right
-        assert left.exponent_sums(2) == winding_profile(total, two)
-    print("CRITERION 7: PASS (group law, signed addition, crossing words; exact)")
+@pytest.mark.parametrize(
+    "name, checks",
+    CRITERIA.items(),
+    ids=[f"criterion-{n}-{name}" for n, name in enumerate(CRITERIA, start=1)],
+)
+def test_criterion(name, checks):
+    result = suites.SUITES[name]()
+    assert result.passed, result.failures[:3]
+    assert result.checks == checks
 
 
 def test_criterion_8_cli_determinism(tmp_path):

@@ -1,8 +1,13 @@
 import io
 import random
+import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagcalc.cli import (
     MAX_SWEEP_SAMPLES,
@@ -324,6 +329,110 @@ class TestDeepTrees:
         assert (err, code) == ("", 0)
         assert out.endswith(f"saved {second}\n{word}\n")
         assert first.read_bytes() == second.read_bytes() == path.read_bytes()
+
+
+# Well-formed lines that ``fuzz_lines`` mutates with loose atoms.  ``check``
+# is left out to keep each example fast, and ``--samples`` stays <= 50.
+SEED_LINES = (
+    "gens a b", "gens a a", "inv a+ b-", "inv", "class a+ a-", "ms a+ b- a+",
+    "ab b+ b+ a-", "pair +- a+ b-", "pair -- 'a+ b+' b-", "word2tree a+ b- a+",
+    "eval [+ (pair +- leaf:a leaf:b)]", "eval (pair -+ leaf:b leaf:b)",
+    "orbit [- (pair -- leaf:b (pair ++ leaf:a leaf:a))] --cap 50",
+    "coset (1, 2)", "coset (4, -3, 2)", "lattice load fixtures.lat",
+    "plane load loops.plane", "wind loop1", "fgword loop2",
+    "sum +- loop1 loop2 --base (1/3,-12)", "sum -- loop2 loop1 --base (2/7,-14)",
+    "oracle sweep --samples 3 --seed 1", "oracle sweep --samples 20 --seed 7",
+    "save out.session", "load out.session", "load missing.lat", "nope",
+)
+ATOMS = (
+    "a b+ c+ q- + - -- +- ++ [+ [- ( (pair ) ] (0,0) (1/0,1) loop3 w load "
+    "sweep --cap --base --samples --seed --nope 0 1 -1 50 ' \" #"
+).split()
+
+
+@st.composite
+def fuzz_lines(draw) -> str:
+    tokens = draw(st.sampled_from(SEED_LINES)).split()
+    for atom in draw(st.lists(st.sampled_from(ATOMS), max_size=3)):
+        tokens.insert(draw(st.integers(0, len(tokens))), atom)
+    if draw(st.booleans()):
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return " ".join(tokens)
+
+
+@st.composite
+def rectangles(draw) -> str:
+    """A loop literal whose corners sit at odd halves, clear of integer points."""
+    half = st.sampled_from([f"{k}/2" for k in range(-9, 10, 2)])
+    x1, x2 = draw(st.lists(half, min_size=2, max_size=2, unique=True))
+    y1, y2 = draw(st.lists(half, min_size=2, max_size=2, unique=True))
+    flag, way = draw(st.integers(0, 3)), draw(st.sampled_from("FB"))
+    return f"loop {flag} {way} ({x1},{y1}) ({x2},{y1}) ({x2},{y2}) ({x1},{y2})"
+
+
+@st.composite
+def session_files(draw) -> str:
+    gens = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    letters = st.sampled_from([g + s for g in gens for s in "+-"])
+    word = st.lists(letters, max_size=4).map(" ".join)
+    signs = st.sampled_from(["++", "+-", "-+", "--"])
+    tree = st.recursive(
+        st.sampled_from([f"leaf:{g}" for g in gens]),
+        lambda kids: st.builds("(pair {} {} {})".format, signs, kids, kids),
+        max_leaves=5,
+    )
+    root = st.sampled_from(["tree [+ {}]", "tree [- {}]", "tree {}"])
+    value = st.one_of(
+        word.map("word {}".format), st.builds(str.format, root, tree), rectangles()
+    )
+    policy = draw(st.sampled_from(["lex", "explicit"]))
+    canons = draw(st.lists(word, max_size=3)) if policy == "explicit" else []
+    lines = ["gens " + " ".join(gens), f"policy {policy}"]
+    lines += [f"canon {w}" for w in canons]
+    dim = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, max_size=3))
+    lines += [f"lattice {len(rows)} {dim}"] + [" ".join(map(str, r)) for r in rows]
+    xs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    points = [f"({x},{draw(st.integers(-2, 2))})" for x in xs]
+    lines.append("punctures: " + " ".join(points))
+    values = draw(st.lists(value, max_size=8))
+    lines += [f"bind v{i} {v}" for i, v in enumerate(values)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name in ("fixtures.lat", "loops.plane"):
+        shutil.copy(DATA / name, path / name)
+    return path
+
+
+class TestFuzz:
+    @given(st.booleans(), st.lists(fuzz_lines(), min_size=1, max_size=8))
+    def test_every_line_ends_with_a_code_and_at_most_one_error_line(
+        self, workdir, with_plane, lines
+    ):
+        session, quiet = Session(), io.StringIO()
+        preamble = "gens a b\nplane load loops.plane" if with_plane else "gens a b"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(workdir)  # a mutated ``save`` writes here
+            assert run_script(preamble, session, out=quiet, err=quiet) == 0
+            for line in lines:
+                err = io.StringIO()
+                assert run_script(line, session, out=quiet, err=err) in (0, 1, 2), line
+                assert re.fullmatch(r"(error: [^\n]*\n)?", err.getvalue()), line
+
+    @given(session_files())
+    def test_session_save_load_save_is_byte_identical(self, workdir, text):
+        # A fresh directory per example: rewriting files in place waits on disk.
+        fresh = Path(tempfile.mkdtemp(dir=workdir))
+        path, one, two = (fresh / name for name in ("in", "one", "two"))
+        path.write_text(text)
+        _, err, code = script_output(f"load {path}\nsave {one}\nload {one}\nsave {two}")
+        assert (err, code) == ("", 0)
+        assert one.read_bytes() == two.read_bytes()
 
 
 class TestMain:
