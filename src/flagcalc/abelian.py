@@ -37,10 +37,6 @@ class SignedMultiset:
         if any(c < 0 for c in self.plus + self.minus):
             raise DomainError("multiset counts must be nonnegative")
 
-    @classmethod
-    def zero(cls, n_gens: int) -> "SignedMultiset":
-        return cls((0,) * n_gens, (0,) * n_gens)
-
     def __add__(self, other: "SignedMultiset") -> "SignedMultiset":
         if not isinstance(other, SignedMultiset):
             return NotImplemented
@@ -50,9 +46,6 @@ class SignedMultiset:
             tuple(a + b for a, b in zip(self.plus, other.plus)),
             tuple(a + b for a, b in zip(self.minus, other.minus)),
         )
-
-    def total(self) -> int:
-        return sum(self.plus) + sum(self.minus)
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class AbelianVector:
         return AbelianVector(tuple(-c for c in self.coords))
 
     def __str__(self) -> str:
-        return format_vector(self)
+        return format_vector(self.coords)
 
 
 def multiset_quotient(word: SignedWord) -> SignedMultiset:
@@ -243,7 +236,7 @@ class HomologyClass:
         return self.rep.is_zero
 
     def __str__(self) -> str:
-        return format_vector(self.rep)
+        return format_vector(self.rep.coords)
 
 
 def reduce_coset(vector: AbelianVector, lattice: RelationLattice) -> HomologyClass:
@@ -278,9 +271,9 @@ def format_multiset(ms: SignedMultiset, gens: GeneratorSet) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def format_vector(vector: AbelianVector) -> str:
-    """Render as ``(2, -1)``; one-dimensional vectors render as ``(2)``."""
-    return "(" + ", ".join(str(c) for c in vector.coords) + ")"
+def format_vector(coords: tuple[int, ...]) -> str:
+    """Render integers as ``(2, -1)``; a single one renders as ``(2)``."""
+    return "(" + ", ".join(str(c) for c in coords) + ")"
 
 
 def parse_vector(text: str, *, line: int = 1) -> AbelianVector:

@@ -20,13 +20,14 @@ import shlex
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TextIO, Union
+from typing import Callable, TextIO
 
 from . import abelian, suites, trees, words
 from . import plane as planes
 from .errors import DomainError, FlagcalcError, ParseError, ResourceLimitError
 
-Binding = Union[words.SignedWord, trees.RootedPresentation, planes.FlaggedLoop]
+# Not typing.Union, for the reason given at ``trees.PairingTree``.
+Binding = words.SignedWord | trees.RootedPresentation | planes.FlaggedLoop
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LOOP_NAME_RE = re.compile(r"loop(\d+)")
@@ -160,10 +161,6 @@ def _drop_bindings(session: Session, kind: type | tuple[type, ...]) -> None:
     }
 
 
-def _format_ints(values: tuple[int, ...]) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
-
-
 # --- command handlers ------------------------------------------------------
 
 
@@ -240,7 +237,7 @@ def _cmd_ms(session: Session, args: list[str]) -> tuple[str, int]:
 
 def _cmd_ab(session: Session, args: list[str]) -> tuple[str, int]:
     vec = abelian.abelianize(_resolve_word(session, _joined(args, "ab <word>")))
-    return abelian.format_vector(vec), 0
+    return abelian.format_vector(vec.coords), 0
 
 
 def _cmd_coset(session: Session, args: list[str]) -> tuple[str, int]:
@@ -249,7 +246,7 @@ def _cmd_coset(session: Session, args: list[str]) -> tuple[str, int]:
     if lattice is None:
         lattice = abelian.RelationLattice.free(vector.dim)
     cls = abelian.reduce_coset(vector, lattice)
-    return abelian.format_vector(cls.rep), 0
+    return abelian.format_vector(cls.rep.coords), 0
 
 
 def _cmd_lattice(session: Session, args: list[str]) -> tuple[str, int]:
@@ -278,7 +275,7 @@ def _cmd_wind(session: Session, args: list[str]) -> tuple[str, int]:
     _arity(args, 1, "wind <loopname>")
     plane = _require_plane(session)
     loop = _resolve_loop(session, args[0])
-    return _format_ints(planes.winding_profile(loop, plane)), 0
+    return abelian.format_vector(planes.winding_profile(loop, plane)), 0
 
 
 def _cmd_fgword(session: Session, args: list[str]) -> tuple[str, int]:
@@ -436,7 +433,7 @@ def _session_text(session: Session) -> str:
         lines.extend(f"canon {choice}".rstrip() for choice in choices)
     if session.lattice is not None:
         lines.append(f"lattice {len(session.lattice.rows)} {session.lattice.dim}")
-        lines.extend(" ".join(str(x) for x in row) for row in session.lattice.rows)
+        lines.extend(abelian.format_lattice(session.lattice).splitlines())
     if session.plane is not None:
         lines.append(planes.format_punctures_line(session.plane))
     for name, value in session.bindings.items():

@@ -1,11 +1,19 @@
 """Exact loop calculus in a punctured plane.
 
 Loops are polygons with rational vertices, a marked flag vertex, and a
-traversal direction.  Everything here is computed in exact rational
-arithmetic: winding numbers by signed crossing counts (no floating-point
-angles), crossing words by transversal intersections with the downward
-vertical ray under each puncture, connected sums by rerouting both loops
-through a shared base point along a there-and-back corridor.
+traversal direction.  Everything here is exact: winding numbers by signed
+crossing counts (no floating-point angles), crossing words by transversal
+intersections with the downward vertical ray under each puncture, connected
+sums by rerouting both loops through a shared base point along a
+there-and-back corridor.
+
+Coordinates are rational, but the predicates run on integers.  Each
+operation scales the points it looks at to their common denominator once
+(:func:`_scaled`), then takes every orientation, on-segment, triangle, ray
+and ordering test on Python ints.  Each test is the sign of an order
+comparison or of a cross product, and multiplying every coordinate by one
+positive integer keeps those signs, so the answers are those of the rational
+points, with no tolerances.
 
 The corridor's return leg is offset by a small rational shear so the out and
 back segments do not overlap; the shear is shrunk deterministically until
@@ -20,11 +28,12 @@ associate.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TypeVar
 
 from .errors import (
     DomainError,
@@ -48,21 +57,56 @@ class Point:
         return format_point(self)
 
 
-def _cross(a: Point, b: Point, p: Point) -> Fraction:
+# A point scaled to integers: its coordinates times a common denominator.
+_IntPoint = tuple[int, int]
+# A tuple or a list, sliced and concatenated with its own kind.
+_Seq = TypeVar("_Seq", tuple, list)
+
+
+def _scaled(points: Sequence[Point]) -> tuple[int, list[_IntPoint]]:
+    """The least common denominator of ``points`` and the points times it."""
+    den = math.lcm(*{c.denominator for p in points for c in (p.x, p.y)})
+    return den, [
+        (
+            p.x.numerator * (den // p.x.denominator),
+            p.y.numerator * (den // p.y.denominator),
+        )
+        for p in points
+    ]
+
+
+def _walk(items: _Seq, flag: int, traversal: str) -> _Seq:
+    """``items`` from index ``flag``, forward for ``"F"`` and backward for ``"B"``."""
+    rotated = items[flag:] + items[:flag]
+    if traversal == "F":
+        return rotated
+    return rotated[:1] + rotated[:0:-1]
+
+
+def _edges(walk: _Seq) -> Iterator[tuple]:
+    """Consecutive pairs of ``walk``, closing back to its start."""
+    return zip(walk, walk[1:] + walk[:1])
+
+
+def _cross(a: _IntPoint, b: _IntPoint, p: _IntPoint) -> int:
     # > 0 when p lies strictly left of the directed line a -> b.
-    return (b.x - a.x) * (p.y - a.y) - (p.x - a.x) * (b.y - a.y)
+    return (b[0] - a[0]) * (p[1] - a[1]) - (p[0] - a[0]) * (b[1] - a[1])
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    if _cross(a, b, p) != 0:
-        return False
+def _in_box(p: _IntPoint, a: _IntPoint, b: _IntPoint) -> bool:
     return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
     )
 
 
-def _in_closed_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
+def _on_segment(p: _IntPoint, a: _IntPoint, b: _IntPoint) -> bool:
+    return _in_box(p, a, b) and _cross(a, b, p) == 0
+
+
+def _in_closed_triangle(
+    p: _IntPoint, a: _IntPoint, b: _IntPoint, c: _IntPoint
+) -> bool:
     o1 = _cross(a, b, p)
     o2 = _cross(b, c, p)
     o3 = _cross(c, a, p)
@@ -119,26 +163,19 @@ class FlaggedLoop:
 
     def directed_vertices(self) -> tuple[Point, ...]:
         """Vertices starting at the flag, following the traversal direction."""
-        rotated = self.vertices[self.flag_vertex:] + self.vertices[: self.flag_vertex]
-        if self.traversal == "F":
-            return rotated
-        return (rotated[0],) + tuple(reversed(rotated[1:]))
-
-    def directed_edges(self) -> Iterator[tuple[Point, Point]]:
-        walk = self.directed_vertices()
-        for i, a in enumerate(walk):
-            yield a, walk[(i + 1) % len(walk)]
+        return _walk(self.vertices, self.flag_vertex, self.traversal)
 
 
 def ensure_avoids(loop: FlaggedLoop, plane: PuncturedPlane) -> None:
     """Raise unless every vertex and edge stays clear of every puncture."""
-    for j, p in enumerate(plane.punctures):
-        for i, v in enumerate(loop.vertices):
+    n = len(loop.vertices)
+    _, scaled = _scaled(loop.vertices + plane.punctures)
+    vertices, punctures = scaled[:n], scaled[n:]
+    for j, p in enumerate(punctures):
+        for i, v in enumerate(vertices):
             if v == p:
                 raise DomainError(f"loop vertex {i} coincides with puncture {j + 1}")
-        n = len(loop.vertices)
-        for i in range(n):
-            a, b = loop.vertices[i], loop.vertices[(i + 1) % n]
+        for i, (a, b) in enumerate(_edges(vertices)):
             if _on_segment(p, a, b):
                 raise DomainError(f"loop edge {i} passes through puncture {j + 1}")
 
@@ -146,18 +183,21 @@ def ensure_avoids(loop: FlaggedLoop, plane: PuncturedPlane) -> None:
 def winding_number(loop: FlaggedLoop, puncture: Point) -> int:
     """Signed crossing count of the directed loop around ``puncture``.
 
-    Exact: every comparison is rational.  Edges are treated half-open in y,
-    so vertices landing exactly on the horizontal through the puncture are
-    attributed to exactly one edge.
+    Exact: every comparison is on integers over a common denominator.  Edges
+    are treated half-open in y, so vertices landing exactly on the
+    horizontal through the puncture are attributed to exactly one edge.
     """
+    _, (*walk, p) = _scaled(loop.directed_vertices() + (puncture,))
+    py = p[1]
     wn = 0
-    for a, b in loop.directed_edges():
-        if _on_segment(puncture, a, b):
+    for a, b in _edges(walk):
+        cross = _cross(a, b, p)
+        if cross == 0 and _in_box(p, a, b):
             raise DomainError("loop touches the puncture; winding is undefined")
-        if a.y <= puncture.y:
-            if b.y > puncture.y and _cross(a, b, puncture) > 0:
+        if a[1] <= py:
+            if b[1] > py and cross > 0:
                 wn += 1
-        elif b.y <= puncture.y and _cross(a, b, puncture) < 0:
+        elif b[1] <= py and cross < 0:
             wn -= 1
     return wn
 
@@ -167,38 +207,46 @@ def winding_profile(loop: FlaggedLoop, plane: PuncturedPlane) -> tuple[int, ...]
     return tuple(winding_number(loop, p) for p in plane.punctures)
 
 
+# Fractions ``t`` of the way from the flag to the base, as (numerator, denominator).
+_STATIONS = ((1, 2), (1, 3), (2, 5), (3, 7), (4, 9))
+
+
 def _detour_point(w0: Point, base: Point, plane: PuncturedPlane) -> Point:
     """Shear offset for the corridor's return leg.
 
-    Deterministically tries midpoint-like stations along the corridor and
-    shrinking perpendicular offsets on both sides until the closed triangle
+    Raises :class:`RerouteError` when the corridor from ``w0`` to ``base``
+    passes through a puncture.  Otherwise deterministically tries
+    midpoint-like stations ``t`` along the corridor and shrinking
+    perpendicular offsets ``±2^-k`` until the closed triangle
     ``(w0, base, q)`` contains no puncture and ``q`` sits off every downward
     ray.  The triangle condition is what preserves winding numbers.
     """
-    dx, dy = base.x - w0.x, base.y - w0.y
+    den, (w, b, *punctures) = _scaled((w0, base) + plane.punctures)
+    for p in punctures:
+        if _on_segment(p, w, b):
+            raise RerouteError(
+                "corridor from the flag to the base passes through a puncture"
+            )
+    dx, dy = b[0] - w[0], b[1] - w[1]
     nx, ny = -dy, dx
-    ray_xs = {p.x for p in plane.punctures}
-    stations = (
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(2, 5),
-        Fraction(3, 7),
-        Fraction(4, 9),
-    )
-    for t in stations:
+    for t_num, t_den in _STATIONS:
         for k in range(2, 16):
+            # q = w + (t_num / t_den) d + (side / 2^k) n; scale everything by
+            # m = t_den 2^k so that q's coordinates are integers too.
+            m = t_den << k
+            ws, bs = (w[0] * m, w[1] * m), (b[0] * m, b[1] * m)
+            ps = [(px * m, py * m) for px, py in punctures]
             for side in (1, -1):
-                eps = Fraction(side, 2**k)
-                q = Point(w0.x + t * dx + eps * nx, w0.y + t * dy + eps * ny)
-                if q.x in ray_xs:
+                q = (
+                    ws[0] + (t_num * dx << k) + side * t_den * nx,
+                    ws[1] + (t_num * dy << k) + side * t_den * ny,
+                )
+                # A q on a puncture is also on its ray.
+                if any(q[0] == p[0] for p in ps):
                     continue
-                if any(q == p for p in plane.punctures):
+                if any(_in_closed_triangle(p, ws, bs, q) for p in ps):
                     continue
-                if any(
-                    _in_closed_triangle(p, w0, base, q) for p in plane.punctures
-                ):
-                    continue
-                return q
+                return Point(Fraction(q[0], den * m), Fraction(q[1], den * m))
     raise RerouteError("could not route the corridor's return leg past the punctures")
 
 
@@ -217,11 +265,6 @@ def normalize_flag(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> Fla
     if walk[0] == base:
         return FlaggedLoop(walk, 0, "F")
     w0 = walk[0]
-    for p in plane.punctures:
-        if _on_segment(p, w0, base):
-            raise RerouteError(
-                "corridor from the flag to the base passes through a puncture"
-            )
     q = _detour_point(w0, base, plane)
     return FlaggedLoop((base,) + walk + (w0, q), 0, "F")
 
@@ -343,24 +386,28 @@ def crossing_word(loop: FlaggedLoop, plane: PuncturedPlane) -> FreeWord:
     raises :class:`RayDegeneracyError`; nudge the vertex and retry.
     """
     ensure_avoids(loop, plane)
-    for i, v in enumerate(loop.vertices):
-        for j, p in enumerate(plane.punctures):
-            if v.x == p.x and v.y < p.y:
+    n = len(loop.vertices)
+    _, scaled = _scaled(loop.vertices + plane.punctures)
+    vertices, punctures = scaled[:n], scaled[n:]
+    for i, v in enumerate(vertices):
+        for j, p in enumerate(punctures):
+            if v[0] == p[0] and v[1] < p[1]:
                 raise RayDegeneracyError(
                     f"vertex {i} lies on the downward ray of puncture {j + 1}; "
                     "perturb the loop"
                 )
     letters: list[tuple[int, int]] = []
-    for a, b in loop.directed_edges():
-        hits: list[tuple[Fraction, int, int]] = []
-        for j, p in enumerate(plane.punctures):
-            da = a.x - p.x
-            db = b.x - p.x
-            if (da < 0 < db) or (db < 0 < da):
-                t = (p.x - a.x) / (b.x - a.x)
-                y_at = a.y + (b.y - a.y) * t
-                if y_at < p.y:
-                    hits.append((t, j, 1 if da < 0 else -1))
+    for a, b in _edges(_walk(vertices, loop.flag_vertex, loop.traversal)):
+        dx = b[0] - a[0]
+        hits: list[tuple[int, int, int]] = []
+        for j, p in enumerate(punctures):
+            da = a[0] - p[0]
+            db = b[0] - p[0]
+            # The edge meets the vertical through p at t = (p.x - a.x) / dx,
+            # below p exactly when _cross(a, b, p) has the sign of dx.
+            if ((da < 0 < db) or (db < 0 < da)) and _cross(a, b, p) * dx > 0:
+                # t * dx^2 orders an edge's hits as t does, with no division.
+                hits.append(((p[0] - a[0]) * dx, j, 1 if da < 0 else -1))
         hits.sort()
         letters.extend((j, exp) for _, j, exp in hits)
     return FreeWord(free_reduce(letters))
@@ -572,7 +619,6 @@ def verify_group_law(
 # --- text formats ----------------------------------------------------------
 
 _POINT_RE = re.compile(r"\(([^(),]+),([^(),]+)\)")
-_FREE_LETTER_RE = re.compile(r"x(\d+)(\^-1)?")
 
 
 def format_point(p: Point) -> str:
@@ -679,26 +725,3 @@ def format_free_word(word: FreeWord) -> str:
     return " ".join(
         f"x{idx + 1}" + ("" if exp > 0 else "^-1") for idx, exp in word.letters
     )
-
-
-def parse_free_word(text: str, *, line: int = 1) -> FreeWord:
-    letters: list[tuple[int, int]] = []
-    for match in re.finditer(r"\S+", text):
-        token = match.group()
-        m = _FREE_LETTER_RE.fullmatch(token)
-        if m is None:
-            raise ParseError(
-                f"bad free-word letter {token!r}",
-                line=line,
-                column=match.start() + 1,
-                expected=("'x<k>'", "'x<k>^-1'"),
-            )
-        idx = int(m.group(1))
-        if idx < 1:
-            raise ParseError(
-                f"puncture symbols are numbered from x1, got {token!r}",
-                line=line,
-                column=match.start() + 1,
-            )
-        letters.append((idx - 1, -1 if m.group(2) else 1))
-    return FreeWord.from_letters(letters)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, NoReturn, Union
+from typing import Iterator, NoReturn
 
 from .errors import DomainError, ParseError, ResourceLimitError, UnknownGeneratorError
 from .words import (
@@ -63,7 +63,9 @@ class Node:
         _check_sign(self.tau)
 
 
-PairingTree = Union[Leaf, Node]
+# Not typing.Union, whose process-wide cache would keep these classes, and so
+# every re-imported copy of this module, alive.
+PairingTree = Leaf | Node
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ class TestMultisetQuotient:
         assert format_multiset(ms, GENS) == "{a+:2, a-:0, b+:0, b-:1}"
 
     def test_empty_word(self):
-        assert multiset_quotient(w("")) == SignedMultiset.zero(2)
+        assert multiset_quotient(w("")) == SignedMultiset((0, 0), (0, 0))
 
     @given(signed_words, signed_words)
     def test_additive_under_concat(self, u, v):
@@ -62,15 +62,11 @@ class TestMultisetQuotient:
             u
         ) + multiset_quotient(v)
 
-    @given(signed_words)
-    def test_total_counts_letters(self, word):
-        assert multiset_quotient(word).total() == len(word)
-
 
 class TestAbelianize:
     def test_difference_example(self):
         assert abelianize(w("a+ b- a+")) == AbelianVector((2, -1))
-        assert format_vector(abelianize(w("a+ b- a+"))) == "(2, -1)"
+        assert format_vector(abelianize(w("a+ b- a+")).coords) == "(2, -1)"
 
     @given(signed_words, signed_words)
     def test_additive_under_concat(self, u, v):
@@ -107,7 +103,7 @@ class TestAbelianVector:
     def test_parse_format_round_trip(self):
         for text in ["(2, -1)", "(0, 0, 5)", "(7)"]:
             vec = parse_vector(text)
-            assert parse_vector(format_vector(vec)) == vec
+            assert parse_vector(format_vector(vec.coords)) == vec
 
     @pytest.mark.parametrize("text", ["()", "2, -1", "(2; 1)", "(a, b)"])
     def test_parse_rejects_malformed(self, text):

@@ -1,17 +1,19 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flagcalc.errors import DomainError, ParseError, RayDegeneracyError
+from flagcalc.errors import DomainError, ParseError, RayDegeneracyError, RerouteError
 from flagcalc.plane import (
     DEFAULT_BASE_POINTS,
     FlaggedLoop,
     FreeWord,
     Point,
     PuncturedPlane,
+    _detour_point,
     connected_sum,
     connected_sum_auto,
     crossing_word,
@@ -20,7 +22,6 @@ from flagcalc.plane import (
     format_loop_literal,
     free_reduce,
     normalize_flag,
-    parse_free_word,
     parse_loop_literal,
     parse_plane_file,
     sample_loops,
@@ -43,11 +44,24 @@ FAR_SQUARE = FlaggedLoop(
     (Point.of(4, -1), Point.of(4, 1), Point.of(3, 1), Point.of(3, -1)), 0
 )
 
+DATA = Path(__file__).parent / "data"
+# Three punctures whose y-coordinates have unlike denominators, so sums and
+# detours mix denominators 3, 7 and the base points' 3 to 17.
+GOLDEN_PLANE = PuncturedPlane(
+    (Point.of(0, 0), Point.of(10, Fraction(1, 3)), Point.of(-10, Fraction(-2, 7)))
+)
+
+
+def edges(loop: FlaggedLoop):
+    """The loop's directed edges, from the flag in traversal order."""
+    walk = loop.directed_vertices()
+    return zip(walk, walk[1:] + walk[:1])
+
 
 def angle_sum_winding(loop: FlaggedLoop, puncture: Point) -> int:
     """Independent check: accumulate signed turn angles in floating point."""
     total = 0.0
-    for a, b in loop.directed_edges():
+    for a, b in edges(loop):
         ax, ay = float(a.x - puncture.x), float(a.y - puncture.y)
         bx, by = float(b.x - puncture.x), float(b.y - puncture.y)
         total += math.atan2(ax * by - ay * bx, ax * bx + ay * by)
@@ -274,18 +288,10 @@ class TestFreeWord:
         )
         assert (u * v).exponent_sums(2) == sums
 
-    def test_text_round_trip(self):
-        for text in ["", "x1", "x1^-1", "x1 x1 x2^-1"]:
-            word = parse_free_word(text)
-            assert format_free_word(word) == text
-
-    def test_parse_reduces_its_input(self):
-        assert parse_free_word("x1 x1^-1 x2").letters == ((1, 1),)
-
-    def test_parse_rejects_malformed(self):
-        for text in ["x0", "y1", "x1^0", "x1^"]:
-            with pytest.raises(ParseError):
-                parse_free_word(text)
+    def test_format(self):
+        word = FreeWord.from_letters([(0, 1), (0, 1), (1, -1)])
+        assert format_free_word(word) == "x1 x1 x2^-1"
+        assert format_free_word(FreeWord()) == ""
 
 
 class TestSampling:
@@ -357,3 +363,219 @@ class TestLoopText:
     def test_plane_file_requires_punctures_first(self):
         with pytest.raises(ParseError):
             parse_plane_file("loop 0 F (1,1) (2,2) (3,1)\n")
+
+
+# --- exact predicates against independent references ------------------------
+
+DENOMINATORS = (1, 3, 7, 2, 4, 8, 16)
+
+
+@st.composite
+def rationals(draw):
+    den = draw(st.sampled_from(DENOMINATORS))
+    return Fraction(draw(st.integers(-6 * den, 6 * den)), den)
+
+
+@st.composite
+def planes_and_loops(draw):
+    """A plane of one to three punctures and a polygon that often grazes them.
+
+    Besides free vertices, a vertex may sit on the horizontal line through a
+    puncture or on its downward ray.  In about half the polygons it may also
+    sit on a puncture, or mirror the previous vertex through one so that the
+    edge between them passes through it.
+    """
+    punctures = draw(
+        st.lists(
+            st.builds(Point, rationals(), rationals()),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda p: p.x,
+        )
+    )
+    kinds = ("free", "free", "horizontal", "ray")
+    if draw(st.booleans()):
+        kinds += ("on", "mirror")
+    vertices: list[Point] = []
+    for _ in range(draw(st.integers(3, 7))):
+        p = draw(st.sampled_from(punctures))
+        kind = draw(st.sampled_from(kinds))
+        x, y = draw(rationals()), draw(rationals())
+        if kind == "on":
+            x, y = p.x, p.y
+        elif kind == "horizontal":
+            y = p.y
+        elif kind == "ray":
+            x, y = p.x, p.y - abs(y) - Fraction(1, 7)
+        elif kind == "mirror" and vertices:
+            x, y = 2 * p.x - vertices[-1].x, 2 * p.y - vertices[-1].y
+        vertices.append(Point(x, y))
+    assume(all(vertices[i - 1] != v for i, v in enumerate(vertices)))
+    loop = FlaggedLoop(
+        tuple(vertices),
+        draw(st.integers(0, len(vertices) - 1)),
+        draw(st.sampled_from("FB")),
+    )
+    return PuncturedPlane(tuple(punctures)), loop
+
+
+@st.composite
+def corridors(draw):
+    """A corridor ``w0 -> base`` and punctures placed at ``w0 + alpha d + beta n``.
+
+    ``d`` runs along the corridor and ``n`` across it.  Small dyadic ``beta``
+    puts punctures on or near the candidate detour triangles, their edges
+    included.
+    """
+    w0 = draw(st.builds(Point, rationals(), rationals()))
+    base = draw(st.builds(Point, rationals(), rationals()))
+    assume(w0 != base)
+    dx, dy = base.x - w0.x, base.y - w0.y
+    alphas = st.integers(-4, 12).map(lambda i: Fraction(i, 8))
+    betas = st.sampled_from([Fraction(s, 2**j) for s in (1, -1) for j in range(2, 7)])
+    placed = draw(
+        st.lists(st.tuples(alphas, st.just(0) | betas), min_size=1, max_size=3)
+    )
+    punctures = tuple(
+        Point(w0.x + a * dx - b * dy, w0.y + a * dy + b * dx) for a, b in placed
+    )
+    assume(len({p.x for p in punctures}) == len(punctures))
+    assume(w0 not in punctures and base not in punctures)
+    return PuncturedPlane(punctures), w0, base
+
+
+def touches(p: Point, a: Point, b: Point) -> bool:
+    """Whether ``p`` lies on the closed segment ``ab``, computed on Fractions."""
+    return cross(a, b, p) == 0 and (
+        min(a.x, b.x) <= p.x <= max(a.x, b.x)
+        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    )
+
+
+def cross(a: Point, b: Point, p: Point) -> Fraction:
+    return (b.x - a.x) * (p.y - a.y) - (p.x - a.x) * (b.y - a.y)
+
+
+def contact(loop: FlaggedLoop, punctures) -> bool:
+    """Whether some edge of ``loop`` touches one of ``punctures``."""
+    return any(touches(p, a, b) for p in punctures for a, b in edges(loop))
+
+
+def reference_detour(w0: Point, base: Point, plane: PuncturedPlane) -> Point | None:
+    """The corridor's return-leg point by Fraction arithmetic; None if refused."""
+    if any(touches(p, w0, base) for p in plane.punctures):
+        return None
+    dx, dy = base.x - w0.x, base.y - w0.y
+    for t in map(Fraction, ("1/2", "1/3", "2/5", "3/7", "4/9")):
+        for k in range(2, 16):
+            for side in (1, -1):
+                eps = Fraction(side, 2**k)
+                q = Point(w0.x + t * dx - eps * dy, w0.y + t * dy + eps * dx)
+                if any(q.x == p.x for p in plane.punctures):
+                    continue
+                signs = [
+                    (cross(w0, base, p), cross(base, q, p), cross(q, w0, p))
+                    for p in plane.punctures
+                ]
+                if any(min(s) >= 0 or max(s) <= 0 for s in signs):
+                    continue
+                return q
+    return None
+
+
+class TestExactPredicates:
+    @settings(max_examples=400)
+    @given(planes_and_loops())
+    def test_winding_agrees_with_angle_sum(self, case):
+        plane, loop = case
+        for p in plane.punctures:
+            if contact(loop, [p]):
+                with pytest.raises(DomainError):
+                    winding_number(loop, p)
+            else:
+                assert winding_number(loop, p) == angle_sum_winding(loop, p)
+
+    @settings(max_examples=400)
+    @given(planes_and_loops())
+    def test_ensure_avoids_raises_exactly_on_contact(self, case):
+        plane, loop = case
+        if contact(loop, plane.punctures):
+            with pytest.raises(DomainError):
+                ensure_avoids(loop, plane)
+        else:
+            ensure_avoids(loop, plane)
+
+    @settings(max_examples=400)
+    @given(planes_and_loops())
+    def test_crossing_word_sums_to_the_windings(self, case):
+        plane, loop = case
+        on_ray = any(
+            v.x == p.x and v.y < p.y for v in loop.vertices for p in plane.punctures
+        )
+        if contact(loop, plane.punctures):
+            with pytest.raises(DomainError) as raised:
+                crossing_word(loop, plane)
+            assert type(raised.value) is DomainError
+        elif on_ray:
+            with pytest.raises(RayDegeneracyError):
+                crossing_word(loop, plane)
+        else:
+            word = crossing_word(loop, plane)
+            assert word.exponent_sums(len(plane.punctures)) == tuple(
+                angle_sum_winding(loop, p) for p in plane.punctures
+            )
+
+    @settings(max_examples=400)
+    @given(corridors())
+    def test_detour_point_matches_fraction_reference(self, case):
+        plane, w0, base = case
+        expected = reference_detour(w0, base, plane)
+        if expected is None:
+            with pytest.raises(RerouteError):
+                _detour_point(w0, base, plane)
+        else:
+            assert _detour_point(w0, base, plane) == expected
+
+
+# --- pinned output ----------------------------------------------------------
+
+
+def _outcome(build) -> str:
+    try:
+        return build()
+    except DomainError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def plane_golden_text() -> str:
+    """Flag moves, crossing words and nested sums of loops on ``GOLDEN_PLANE``.
+
+    For each of 59 sampled loops: the loop moved to each default base point
+    with its crossing word, then ``(l_i # l_i+1) # l_i+2`` at signs ``(+,-)``
+    and ``(-,+)`` with its crossing word and winding profile.  A refused
+    operation prints as ``ErrorClass: message``.
+    """
+    plane = GOLDEN_PLANE
+    loops = sample_loops(plane, 60, 2026)
+
+    def described(loop: FlaggedLoop, *extra: str) -> str:
+        word = format_free_word(crossing_word(loop, plane))
+        return " | ".join((format_loop_literal(loop), word) + extra)
+
+    def nested_sum(i: int) -> str:
+        inner = connected_sum_auto(loops[i], 1, -1, loops[i + 1], plane)
+        outer = connected_sum_auto(inner, -1, 1, loops[(i + 2) % len(loops)], plane)
+        return described(outer, str(winding_profile(outer, plane)))
+
+    lines = []
+    for i in range(len(loops) - 1):
+        for k, base in enumerate(DEFAULT_BASE_POINTS):
+            moved = _outcome(lambda: described(normalize_flag(loops[i], base, plane)))
+            lines.append(f"{i} base{k}: {moved}")
+        lines.append(f"{i} sum: {_outcome(lambda: nested_sum(i))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_plane_output_matches_golden():
+    golden = (DATA / "plane_golden.txt").read_bytes()
+    assert plane_golden_text().encode("utf-8") == golden
