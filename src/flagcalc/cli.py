@@ -47,16 +47,6 @@ class Session:
     bindings: dict[str, Binding] = field(default_factory=dict)
 
 
-def parse_expression(
-    text: str, gens: words.GeneratorSet
-) -> words.SignedWord | trees.RootedPresentation:
-    """Dispatch on shape: tree literals start with ``[``, ``(`` or ``leaf:``."""
-    stripped = text.strip()
-    if stripped.startswith(("[", "(", "leaf:")):
-        return trees.parse_tree(text, gens)
-    return words.parse_word(text, gens)
-
-
 def _require_gens(session: Session) -> words.GeneratorSet:
     if session.gens is None:
         raise DomainError("no generators declared; run 'gens <name> ...' first")
@@ -316,9 +306,17 @@ def _cmd_oracle(session: Session, args: list[str]) -> tuple[str, int]:
     plane = session.plane
     if plane is None:
         plane = planes.PuncturedPlane((planes.Point.of(0, 0),))
-    report = planes.verify_group_law(plane, samples=samples, seed=seed)
-    lines = [f"oracle sweep: samples={samples} seed={seed}"] + report.lines()
-    return "\n".join(lines), 0 if report.passed else 1
+    laws = suites.verify_group_law(plane, samples=samples, seed=seed)
+    passed = all(law.passed for law in laws)
+    lines = [f"oracle sweep: samples={samples} seed={seed}"]
+    lines.extend(
+        f"{law.name}: {'PASS' if law.passed else 'FAIL'} ({law.checks} cases)"
+        for law in laws
+    )
+    details = [f"  {law.name}: {detail}" for law in laws for detail in law.failures]
+    lines.extend(details[:5])
+    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
+    return "\n".join(lines), 0 if passed else 1
 
 
 def _cmd_check(session: Session, args: list[str]) -> tuple[str, int]:

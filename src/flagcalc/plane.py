@@ -19,11 +19,6 @@ The corridor's return leg is offset by a small rational shear so the out and
 back segments do not overlap; the shear is shrunk deterministically until
 the resulting thin triangle is free of punctures, which keeps every winding
 number unchanged.
-
-:func:`verify_group_law` is the numeric oracle: around a single puncture it
-samples seeded loops and confirms that connected sums add winding numbers,
-admit a contractible identity, cancel against the reversed partner, and
-associate.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from .errors import (
     RayDegeneracyError,
     RerouteError,
 )
-from .words import MINUS, PLUS, Sign, _check_sign
+from .words import Sign, _check_sign
 
 
 @dataclass(frozen=True)
@@ -311,10 +306,9 @@ def connected_sum_auto(
     tau: Sign,
     l2: FlaggedLoop,
     plane: PuncturedPlane,
-    bases: Sequence[Point] = DEFAULT_BASE_POINTS,
 ) -> FlaggedLoop:
-    """Connected sum over the first base candidate whose corridors route."""
-    for base in bases:
+    """Connected sum over the first default base point whose corridors route."""
+    for base in DEFAULT_BASE_POINTS:
         try:
             return connected_sum(l1, sigma, tau, l2, base, plane)
         except RerouteError:
@@ -501,119 +495,6 @@ def sample_loops(plane: PuncturedPlane, count: int, seed: int) -> list[FlaggedLo
     """Deterministic list of sampled loops for a given seed."""
     rng = random.Random(seed)
     return [sample_loop(rng, plane) for _ in range(count)]
-
-
-# --- group-law oracle ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LawFailure:
-    check: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class GroupLawReport:
-    """Outcome of the winding-number group-law sweep."""
-
-    samples: int
-    seed: int
-    counts: tuple[tuple[str, int], ...]
-    failures: tuple[LawFailure, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def lines(self) -> list[str]:
-        failed_checks = {f.check for f in self.failures}
-        out = []
-        for name, count in self.counts:
-            status = "FAIL" if name in failed_checks else "PASS"
-            out.append(f"{name}: {status} ({count} cases)")
-        for failure in self.failures[:5]:
-            out.append(f"  {failure.check}: {failure.detail}")
-        out.append(f"result: {'PASS' if self.passed else 'FAIL'}")
-        return out
-
-
-def _contractible_square(p: Point) -> FlaggedLoop:
-    center = Point(p.x + Fraction(13, 2), p.y - Fraction(15, 2))
-    return FlaggedLoop(_rect_ring(center, [Fraction(1, 2)], True), 0, "F")
-
-
-def verify_group_law(
-    plane: PuncturedPlane, samples: int = 50, seed: int = 0
-) -> GroupLawReport:
-    """Check the group behavior of loop composition around one puncture.
-
-    Four sweeps over seeded loops with windings in ``[-3, 3]``: the ``(+,-)``
-    sum adds winding numbers, the contractible square is a two-sided
-    identity, the ``(+,+)`` self-sum cancels to winding zero, and iterated
-    sums associate.  The report lists counterexamples; expected none.
-    """
-    if len(plane.punctures) != 1:
-        raise DomainError("the group-law oracle needs exactly one puncture")
-    if samples < 1:
-        raise DomainError("need at least one sample")
-    p = plane.punctures[0]
-    rng = random.Random(seed)
-    loops = [sample_loop(rng, plane) for _ in range(samples)]
-    windings = [winding_number(loop, p) for loop in loops]
-    unit = _contractible_square(p)
-    failures: list[LawFailure] = []
-
-    def sum_of(a: FlaggedLoop, sa: Sign, sb: Sign, b: FlaggedLoop) -> FlaggedLoop:
-        return connected_sum_auto(a, sa, sb, b, plane)
-
-    for i in range(samples):
-        l1, w1 = loops[i], windings[i]
-        l2, w2 = loops[(i + 1) % samples], windings[(i + 1) % samples]
-        l3 = loops[(i + 2) % samples]
-
-        got = winding_number(sum_of(l1, PLUS, MINUS, l2), p)
-        if got != w1 + w2:
-            failures.append(
-                LawFailure("addition", f"loops {i},{i + 1}: {got} != {w1}+{w2}")
-            )
-
-        right = winding_number(sum_of(l1, PLUS, MINUS, unit), p)
-        left = winding_number(sum_of(unit, PLUS, MINUS, l1), p)
-        if right != w1 or left != w1:
-            failures.append(
-                LawFailure(
-                    "identity",
-                    f"loop {i}: unit sum gave ({left}, {right}), expected {w1}",
-                )
-            )
-
-        cancelled = winding_number(sum_of(l1, PLUS, PLUS, l1), p)
-        if cancelled != 0:
-            failures.append(
-                LawFailure("inverse", f"loop {i}: self-sum wound {cancelled} != 0")
-            )
-
-        assoc_l = winding_number(
-            sum_of(sum_of(l1, PLUS, MINUS, l2), PLUS, MINUS, l3), p
-        )
-        assoc_r = winding_number(
-            sum_of(l1, PLUS, MINUS, sum_of(l2, PLUS, MINUS, l3)), p
-        )
-        if assoc_l != assoc_r:
-            failures.append(
-                LawFailure(
-                    "associativity",
-                    f"loops {i},{i + 1},{i + 2}: {assoc_l} != {assoc_r}",
-                )
-            )
-
-    counts = (
-        ("addition", samples),
-        ("identity", 2 * samples),
-        ("inverse", samples),
-        ("associativity", samples),
-    )
-    return GroupLawReport(samples, seed, counts, tuple(failures))
 
 
 # --- text formats ----------------------------------------------------------

@@ -5,6 +5,10 @@ seeded universe and reports the number of checks performed plus any
 counterexamples found.  The CLI exposes them through ``check <suite|all>``;
 they use fixed internal generator sets and seeds, so their output is
 deterministic regardless of session state.
+
+:func:`verify_group_law` is the group-law sweep around one puncture.  The
+``oracle`` suite runs it at a fixed seed, and ``oracle sweep`` runs it at the
+sample count and seed the user gives.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from . import abelian, plane, trees, words
+from .errors import DomainError
 from .words import MINUS, PLUS, GeneratorSet
 
 _SIGNS = (PLUS, MINUS)
@@ -270,15 +275,81 @@ def homology_suite() -> SuiteResult:
     return result
 
 
+def _contractible_square(p: plane.Point) -> plane.FlaggedLoop:
+    """A counterclockwise unit square below and right of ``p``, winding 0 around it."""
+    corners = ((7, -8), (7, -7), (6, -7), (6, -8))
+    return plane.FlaggedLoop(
+        tuple(plane.Point(p.x + dx, p.y + dy) for dx, dy in corners), 0, "F"
+    )
+
+
+def verify_group_law(
+    punctured: plane.PuncturedPlane, samples: int = 50, seed: int = 0
+) -> list[SuiteResult]:
+    """Check the group behavior of loop composition around one puncture.
+
+    Four sweeps over seeded loops with windings in ``[-3, 3]``, one result
+    each: the ``(+,-)`` sum adds winding numbers (``addition``), the
+    contractible square is a unit on either side (``identity``), the ``(+,+)``
+    self-sum cancels to winding zero (``inverse``), and iterated sums
+    associate (``associativity``).  Each ``l_i # l_(i+1)`` at ``(+,-)`` is
+    built once and serves the addition check and both bracketings.
+    """
+    if len(punctured.punctures) != 1:
+        raise DomainError("the group-law oracle needs exactly one puncture")
+    if samples < 1:
+        raise DomainError("need at least one sample")
+    p = punctured.punctures[0]
+    loops = plane.sample_loops(punctured, samples, seed)
+    windings = [plane.winding_number(loop, p) for loop in loops]
+    unit = _contractible_square(p)
+
+    def sum_of(
+        a: plane.FlaggedLoop, sa: words.Sign, sb: words.Sign, b: plane.FlaggedLoop
+    ) -> plane.FlaggedLoop:
+        return plane.connected_sum_auto(a, sa, sb, b, punctured)
+
+    def wound(
+        a: plane.FlaggedLoop, sa: words.Sign, sb: words.Sign, b: plane.FlaggedLoop
+    ) -> int:
+        return plane.winding_number(sum_of(a, sa, sb, b), p)
+
+    # pairs[i] is l_i # l_(i+1) at (+,-).
+    pairs = [
+        sum_of(loop, PLUS, MINUS, loops[(i + 1) % samples])
+        for i, loop in enumerate(loops)
+    ]
+    laws = [
+        SuiteResult(name)
+        for name in ("addition", "identity", "inverse", "associativity")
+    ]
+    addition, identity, inverse, associativity = laws
+    for i, (l1, w1) in enumerate(zip(loops, windings)):
+        j, k = (i + 1) % samples, (i + 2) % samples
+        w2 = windings[j]
+        got = plane.winding_number(pairs[i], p)
+        addition.tick(got == w1 + w2, f"loops {i},{i + 1}: {got} != {w1}+{w2}")
+        left = wound(unit, PLUS, MINUS, l1)
+        identity.tick(left == w1, f"loop {i}: left unit sum wound {left} != {w1}")
+        right = wound(l1, PLUS, MINUS, unit)
+        identity.tick(right == w1, f"loop {i}: right unit sum wound {right} != {w1}")
+        cancelled = wound(l1, PLUS, PLUS, l1)
+        inverse.tick(cancelled == 0, f"loop {i}: self-sum wound {cancelled} != 0")
+        assoc_l = wound(pairs[i], PLUS, MINUS, loops[k])
+        assoc_r = wound(l1, PLUS, MINUS, pairs[j])
+        associativity.tick(
+            assoc_l == assoc_r, f"loops {i},{i + 1},{i + 2}: {assoc_l} != {assoc_r}"
+        )
+    return laws
+
+
 def oracle_suite() -> SuiteResult:
     """Exact-geometry sweeps: group law, signed addition, crossing words."""
     result = SuiteResult("oracle")
     one = plane.PuncturedPlane((plane.Point.of(0, 0),))
-    report = plane.verify_group_law(one, samples=50, seed=_SEED)
-    for name, count in report.counts:
-        result.checks += count
-    for failure in report.failures:
-        result.failures.append(f"group law [{failure.check}]: {failure.detail}")
+    for law in verify_group_law(one, samples=50, seed=_SEED):
+        result.checks += law.checks
+        result.failures.extend(f"group law [{law.name}]: {d}" for d in law.failures)
 
     loops = plane.sample_loops(one, 100, _SEED + 1)
     origin = one.punctures[0]

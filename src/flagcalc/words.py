@@ -114,13 +114,6 @@ class SignedWord:
     def empty(cls, gens: GeneratorSet) -> "SignedWord":
         return cls(gens, ())
 
-    @classmethod
-    def from_pairs(
-        cls, gens: GeneratorSet, pairs: list[tuple[str, Sign]]
-    ) -> "SignedWord":
-        letters = tuple(SignedLetter(gens.index(n), s) for n, s in pairs)
-        return cls(gens, letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -172,11 +165,6 @@ class CanonicalPolicy:
                 raise DomainError(
                     f"override for {str(key)!r} must pick the word or its involution"
                 )
-
-    @classmethod
-    def keeping(cls, words: list[SignedWord]) -> "CanonicalPolicy":
-        """Explicit policy declaring each given word canonical for its fiber."""
-        return cls("explicit", {w: w for w in words})
 
     def choose(self, word: SignedWord) -> SignedWord:
         anti = word.involution()
@@ -256,16 +244,6 @@ def check_commutation_law(
 ) -> bool:
     """``pair(a, s, t, b)`` and ``pair(b, t, s, a)`` present the same class."""
     return class_of(pair(a, sigma, tau, b)) == class_of(pair(b, tau, sigma, a))
-
-
-def flip_generator_signs(word: SignedWord, gen: int) -> SignedWord:
-    """Alphabet automorphism swapping ``c_gen^+`` and ``c_gen^-`` everywhere."""
-    if not 0 <= gen < len(word.gens):
-        raise DomainError(f"generator index {gen} out of range")
-    return SignedWord(
-        word.gens,
-        tuple(l.flipped() if l.gen == gen else l for l in word.letters),
-    )
 
 
 def words_of_length(gens: GeneratorSet, length: int) -> Iterator[SignedWord]:

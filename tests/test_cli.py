@@ -13,12 +13,9 @@ from flagcalc.cli import (
     MAX_SWEEP_SAMPLES,
     Session,
     main,
-    parse_expression,
     run_command,
     run_script,
 )
-from flagcalc.trees import RootedPresentation
-from flagcalc.words import GeneratorSet, SignedWord, parse_word
 
 DATA = Path(__file__).parent / "data"
 
@@ -37,16 +34,6 @@ def script_output(text: str) -> tuple[str, str, int]:
     out, err = io.StringIO(), io.StringIO()
     code = run_script(text, out=out, err=err)
     return out.getvalue(), err.getvalue(), code
-
-
-class TestParseExpression:
-    def test_dispatches_on_shape(self):
-        gens = GeneratorSet.of("a", "b")
-        assert isinstance(parse_expression("a+ b-", gens), SignedWord)
-        assert isinstance(
-            parse_expression("[+ (pair +- leaf:a leaf:b)]", gens), RootedPresentation
-        )
-        assert isinstance(parse_expression("leaf:a", gens), RootedPresentation)
 
 
 class TestWordCommands:

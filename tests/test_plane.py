@@ -25,7 +25,6 @@ from flagcalc.plane import (
     parse_loop_literal,
     parse_plane_file,
     sample_loops,
-    verify_group_law,
     winding_number,
     winding_profile,
 )
@@ -308,19 +307,6 @@ class TestSampling:
     def test_windings_stay_small(self):
         for loop in sample_loops(ONE_PUNCTURE, 50, seed=17):
             assert abs(winding_number(loop, ORIGIN)) <= 3
-
-
-class TestGroupLawOracle:
-    def test_passes_on_seeded_sweep(self):
-        report = verify_group_law(ONE_PUNCTURE, samples=10, seed=6)
-        assert report.passed
-        assert not report.failures
-        assert report.lines()[-1] == "result: PASS"
-        assert any("addition" in line for line in report.lines())
-
-    def test_requires_one_puncture(self):
-        with pytest.raises(DomainError):
-            verify_group_law(TWO_PUNCTURES, samples=5, seed=0)
 
 
 class TestLoopText:

@@ -14,7 +14,6 @@ from flagcalc.words import (
     SignedWord,
     check_commutation_law,
     class_of,
-    flip_generator_signs,
     format_word,
     iter_words,
     pair,
@@ -121,7 +120,7 @@ class TestInvolution:
     def test_concat_requires_matching_generators(self):
         other = GeneratorSet.of("a")
         with pytest.raises(DomainError):
-            w("a+").concat(SignedWord.from_pairs(other, [("a", PLUS)]))
+            w("a+").concat(parse_word("a+", other))
 
 
 class TestPresentationClass:
@@ -161,11 +160,11 @@ class TestPresentationClass:
 
 class TestCanonicalPolicy:
     def test_explicit_choice_wins_over_lex(self):
-        policy = CanonicalPolicy.keeping([w("b- a-")])
+        policy = CanonicalPolicy("explicit", {w("b- a-"): w("b- a-")})
         assert class_of(w("a+ b+"), policy).canonical == w("b- a-")
 
     def test_lookup_works_from_either_member(self):
-        policy = CanonicalPolicy.keeping([w("b- a-")])
+        policy = CanonicalPolicy("explicit", {w("b- a-"): w("b- a-")})
         assert class_of(w("b- a-"), policy).canonical == w("b- a-")
 
     def test_override_must_pick_a_fiber_member(self):
@@ -205,38 +204,6 @@ class TestPair:
     def test_flip_law_on_classes(self, u, sigma, tau, v):
         a, b = class_of(u), class_of(v)
         assert class_of(pair(a, sigma, tau, b)) == class_of(pair(b, tau, sigma, a))
-
-
-class TestPolicyCovariance:
-    """Swapping which sign of one generator is canonical is an automorphism."""
-
-    @given(signed_words, signed_words, st.integers(min_value=0, max_value=2))
-    def test_commutes_with_concat(self, u, v, gen):
-        assert flip_generator_signs(u.concat(v), gen) == flip_generator_signs(
-            u, gen
-        ).concat(flip_generator_signs(v, gen))
-
-    @given(signed_words, st.integers(min_value=0, max_value=2))
-    def test_commutes_with_involution(self, word, gen):
-        assert flip_generator_signs(word.involution(), gen) == flip_generator_signs(
-            word, gen
-        ).involution()
-
-    @given(signed_words, signs, signs, signed_words, st.integers(min_value=0, max_value=2))
-    def test_commutes_with_pair_on_kept_classes(self, u, sigma, tau, v, gen):
-        plain = pair(
-            PresentationClass.from_canonical(u),
-            sigma,
-            tau,
-            PresentationClass.from_canonical(v),
-        )
-        flipped = pair(
-            PresentationClass.from_canonical(flip_generator_signs(u, gen)),
-            sigma,
-            tau,
-            PresentationClass.from_canonical(flip_generator_signs(v, gen)),
-        )
-        assert flipped == flip_generator_signs(plain, gen)
 
 
 class TestEnumeration:
