@@ -306,24 +306,29 @@ def parse_vector(text: str, *, line: int = 1) -> AbelianVector:
     return AbelianVector(tuple(coords))
 
 
-def parse_lattice(text: str, dim: int | None = None) -> RelationLattice:
-    """Parse a lattice file: one row of integers per line, ``#`` comments allowed."""
+def parse_lattice_row(raw: str, *, line: int = 1) -> list[int]:
+    """Parse one lattice row: integers, then an optional ``#`` comment."""
+    row = []
+    for token in raw.split("#", 1)[0].split():
+        try:
+            row.append(int(token))
+        except ValueError:
+            raise ParseError(
+                f"bad integer {token!r} in lattice row",
+                line=line,
+                column=raw.index(token) + 1,
+                expected=("integer",),
+            ) from None
+    return row
+
+
+def parse_lattice(text: str) -> RelationLattice:
+    """Parse a lattice file: one row per line, blank and comment lines skipped."""
     rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        row = parse_lattice_row(raw, line=lineno)
+        if not row:
             continue
-        row = []
-        for token in line.split():
-            try:
-                row.append(int(token))
-            except ValueError:
-                raise ParseError(
-                    f"bad integer {token!r} in lattice row",
-                    line=lineno,
-                    column=raw.index(token) + 1,
-                    expected=("integer",),
-                ) from None
         if rows and len(row) != len(rows[0]):
             raise ParseError(
                 f"row has {len(row)} entries, expected {len(rows[0])}",
@@ -332,13 +337,7 @@ def parse_lattice(text: str, dim: int | None = None) -> RelationLattice:
             )
         rows.append(row)
     if not rows:
-        if dim is None:
-            raise ParseError("lattice file declares no rows and no dimension is known")
-        return RelationLattice.free(dim)
-    if dim is not None and len(rows[0]) != dim:
-        raise DomainError(
-            f"lattice rows have dimension {len(rows[0])}, expected {dim}"
-        )
+        raise ParseError("lattice file declares no rows and no dimension is known")
     return RelationLattice.from_rows(rows)
 
 

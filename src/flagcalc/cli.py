@@ -179,17 +179,9 @@ def _cmd_class(session: Session, args: list[str]) -> tuple[str, int]:
     ), 0
 
 
-def _parse_sign_pair(token: str) -> tuple[words.Sign, words.Sign]:
-    if len(token) != 2 or any(c not in "+-" for c in token):
-        raise ParseError(
-            f"bad sign pair {token!r}", expected=("two signs like '+-'",)
-        )
-    return words.parse_sign(token[0]), words.parse_sign(token[1])
-
-
 def _cmd_pair(session: Session, args: list[str]) -> tuple[str, int]:
     _arity(args, 3, "pair <st> <word> <word> (quote multi-letter words)")
-    sigma, tau = _parse_sign_pair(args[0])
+    sigma, tau = words.parse_sign_pair(args[0])
     a = words.class_of(_resolve_word(session, args[1]), session.policy)
     b = words.class_of(_resolve_word(session, args[2]), session.policy)
     return words.format_word(words.pair(a, sigma, tau, b)), 0
@@ -280,7 +272,7 @@ def _cmd_sum(session: Session, args: list[str]) -> tuple[str, int]:
     _arity(pos, 3, "sum <st> <loop1> <loop2> --base (x,y)")
     if "base" not in opts:
         raise ParseError("missing required option --base")
-    sigma, tau = _parse_sign_pair(pos[0])
+    sigma, tau = words.parse_sign_pair(pos[0])
     plane = _require_plane(session)
     l1 = _resolve_loop(session, pos[1])
     l2 = _resolve_loop(session, pos[2])
@@ -303,9 +295,7 @@ def _cmd_oracle(session: Session, args: list[str]) -> tuple[str, int]:
         raise ResourceLimitError(
             f"oracle sweep takes at most {MAX_SWEEP_SAMPLES} samples, got {samples}"
         )
-    plane = session.plane
-    if plane is None:
-        plane = planes.PuncturedPlane((planes.Point.of(0, 0),))
+    plane = session.plane or planes.ORIGIN_PLANE
     laws = suites.verify_group_law(plane, samples=samples, seed=seed)
     passed = all(law.passed for law in laws)
     lines = [f"oracle sweep: samples={samples} seed={seed}"]
@@ -450,6 +440,7 @@ def _parse_session_text(text: str) -> Session:
     session = Session()
     policy_mode: str | None = None
     overrides: dict[words.SignedWord, words.SignedWord] = {}
+    seen: set[str] = set()
     lines = text.splitlines()
     i = 0
     while i < len(lines):
@@ -460,6 +451,12 @@ def _parse_session_text(text: str) -> Session:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("gens", "policy", "lattice", "punctures:"):
+            # At most once each: a second one could break the bindings read
+            # under the first.
+            if head in seen:
+                raise ParseError(f"duplicate {head!r} line", line=lineno)
+            seen.add(head)
         try:
             if head == "gens":
                 session.gens = words.GeneratorSet.of(*rest.split())
@@ -483,7 +480,10 @@ def _parse_session_text(text: str) -> Session:
                     raise ParseError(
                         "lattice header needs row count and dimension", line=lineno
                     )
-                n_rows, dim = int(fields[0]), int(fields[1])
+                try:
+                    n_rows, dim = int(fields[0]), int(fields[1])
+                except ValueError as exc:
+                    raise ParseError(f"bad integer in session file: {exc}", line=lineno) from None
                 rows = []
                 for _ in range(n_rows):
                     if i >= len(lines):
@@ -491,13 +491,11 @@ def _parse_session_text(text: str) -> Session:
                             "lattice header promises more rows than the file has",
                             line=lineno,
                         )
-                    rows.append([int(tok) for tok in lines[i].split()])
+                    rows.append(abelian.parse_lattice_row(lines[i], line=i + 1))
                     i += 1
                 session.lattice = abelian.RelationLattice.from_rows(rows, dim=dim)
             elif head == "punctures:":
-                session.plane = planes.PuncturedPlane(
-                    tuple(planes.parse_point(tok, line=lineno) for tok in rest.split())
-                )
+                session.plane = planes.parse_punctures_line(line, line=lineno)
             elif head == "bind":
                 parts = rest.split(None, 2)
                 if len(parts) < 2:
@@ -510,28 +508,18 @@ def _parse_session_text(text: str) -> Session:
                     raise ParseError(f"bad binding name {name!r}", line=lineno)
                 if name in session.bindings:
                     raise ParseError(f"duplicate binding name {name!r}", line=lineno)
-                if kind == "word":
+                if kind in ("word", "tree"):
                     gens = session.gens
                     if gens is None:
-                        raise DomainError("word binding before any 'gens' line")
-                    session.bindings[name] = words.parse_word(
-                        payload, gens, line=lineno
-                    )
-                elif kind == "tree":
-                    gens = session.gens
-                    if gens is None:
-                        raise DomainError("tree binding before any 'gens' line")
-                    session.bindings[name] = trees.parse_tree(
-                        payload, gens, line=lineno
-                    )
+                        raise DomainError(f"{kind} binding before any 'gens' line")
+                    parse = words.parse_word if kind == "word" else trees.parse_tree
+                    session.bindings[name] = parse(payload, gens, line=lineno)
                 elif kind == "loop":
                     if session.plane is None:
                         raise DomainError("loop binding before any 'punctures:' line")
-                    loop = planes.parse_loop_literal(
-                        f"loop {payload}", line=lineno
+                    session.bindings[name] = planes.parse_loop_in(
+                        f"loop {payload}", session.plane, line=lineno
                     )
-                    planes.ensure_avoids(loop, session.plane)
-                    session.bindings[name] = loop
                 else:
                     raise ParseError(
                         f"unknown binding kind {kind!r}",
@@ -544,8 +532,6 @@ def _parse_session_text(text: str) -> Session:
                     line=lineno,
                     expected=("gens", "policy", "canon", "lattice", "punctures:", "bind"),
                 )
-        except ValueError as exc:
-            raise ParseError(f"bad integer in session file: {exc}", line=lineno) from None
         except DomainError as exc:
             raise ParseError(str(exc), line=lineno) from None
     if policy_mode == "explicit":

@@ -128,6 +128,10 @@ class PuncturedPlane:
             raise DomainError("punctures must have pairwise distinct x-coordinates")
 
 
+# The ``oracle`` suite's plane, and ``oracle sweep``'s when none is loaded.
+ORIGIN_PLANE = PuncturedPlane((Point.of(0, 0),))
+
+
 @dataclass(frozen=True)
 class FlaggedLoop:
     """Closed polygon with a flag vertex and a traversal direction.
@@ -342,10 +346,6 @@ class FreeWord:
         if self.letters != free_reduce(self.letters):
             raise DomainError("free word is not freely reduced")
 
-    @classmethod
-    def from_letters(cls, letters: Sequence[tuple[int, int]]) -> "FreeWord":
-        return cls(free_reduce(letters))
-
     @property
     def is_identity(self) -> bool:
         return not self.letters
@@ -481,7 +481,6 @@ def sample_loop(rng: random.Random, plane: PuncturedPlane) -> FlaggedLoop:
         traversal = "F" if rng.randint(0, 1) == 0 else "B"
         loop = FlaggedLoop(vertices, flag, traversal)
         try:
-            ensure_avoids(loop, plane)
             crossing_word(loop, plane)
         except DomainError:
             continue
@@ -563,6 +562,34 @@ def format_punctures_line(plane: PuncturedPlane) -> str:
     return "punctures: " + " ".join(format_point(p) for p in plane.punctures)
 
 
+def parse_punctures_line(text: str, *, line: int = 1) -> PuncturedPlane:
+    """Inverse of :func:`format_punctures_line`."""
+    if not text.startswith("punctures:"):
+        raise ParseError(
+            "plane file must open with a 'punctures:' line",
+            line=line,
+            column=1,
+            expected=("'punctures: (x,y) ...'",),
+        )
+    tokens = text[len("punctures:"):].split()
+    if not tokens:
+        raise ParseError("no punctures declared", line=line)
+    try:
+        return PuncturedPlane(tuple(parse_point(tok, line=line) for tok in tokens))
+    except DomainError as exc:
+        raise ParseError(str(exc), line=line) from None
+
+
+def parse_loop_in(text: str, plane: PuncturedPlane, *, line: int = 1) -> FlaggedLoop:
+    """Parse a loop literal and check that it stays clear of ``plane``'s punctures."""
+    loop = parse_loop_literal(text, line=line)
+    try:
+        ensure_avoids(loop, plane)
+    except DomainError as exc:
+        raise ParseError(str(exc), line=line) from None
+    return loop
+
+
 def parse_plane_file(text: str) -> tuple[PuncturedPlane, list[FlaggedLoop]]:
     """Parse a plane file: a ``punctures:`` line, then one loop per line."""
     plane: PuncturedPlane | None = None
@@ -572,30 +599,9 @@ def parse_plane_file(text: str) -> tuple[PuncturedPlane, list[FlaggedLoop]]:
         if not line:
             continue
         if plane is None:
-            if not line.startswith("punctures:"):
-                raise ParseError(
-                    "plane file must open with a 'punctures:' line",
-                    line=lineno,
-                    column=1,
-                    expected=("'punctures: (x,y) ...'",),
-                )
-            body = line[len("punctures:"):].strip()
-            tokens = body.split()
-            if not tokens:
-                raise ParseError("no punctures declared", line=lineno)
-            try:
-                plane = PuncturedPlane(
-                    tuple(parse_point(tok, line=lineno) for tok in tokens)
-                )
-            except DomainError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            continue
-        loop = parse_loop_literal(line, line=lineno)
-        try:
-            ensure_avoids(loop, plane)
-        except DomainError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        loops.append(loop)
+            plane = parse_punctures_line(line, line=lineno)
+        else:
+            loops.append(parse_loop_in(line, plane, line=lineno))
     if plane is None:
         raise ParseError("plane file is empty")
     return plane, loops

@@ -346,7 +346,7 @@ def verify_group_law(
 def oracle_suite() -> SuiteResult:
     """Exact-geometry sweeps: group law, signed addition, crossing words."""
     result = SuiteResult("oracle")
-    one = plane.PuncturedPlane((plane.Point.of(0, 0),))
+    one = plane.ORIGIN_PLANE
     for law in verify_group_law(one, samples=50, seed=_SEED):
         result.checks += law.checks
         result.failures.extend(f"group law [{law.name}]: {d}" for d in law.failures)

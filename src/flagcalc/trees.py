@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, NoReturn
 
-from .errors import DomainError, ParseError, ResourceLimitError, UnknownGeneratorError
+from .errors import DomainError, ParseError, ResourceLimitError
 from .words import (
     MINUS,
     PLUS,
@@ -32,6 +32,7 @@ from .words import (
     SignedWord,
     _check_sign,
     parse_sign,
+    parse_sign_pair,
     sign_char,
 )
 
@@ -294,12 +295,8 @@ class _TreeParser:
                 if head != "pair":
                     self.fail(f"expected 'pair', got {head!r}", hcol, ("'pair'",))
                 signs, scol = self.take("sign pair like '+-'")
-                if len(signs) != 2 or any(c not in "+-" for c in signs):
-                    self.fail(
-                        f"bad sign pair {signs!r}", scol, ("two signs like '+-'",)
-                    )
-                sigma = parse_sign(signs[0], column=scol)
-                open_nodes.append((sigma, parse_sign(signs[1], column=scol + 1), []))
+                sigma, tau = parse_sign_pair(signs, line=self.line, column=scol)
+                open_nodes.append((sigma, tau, []))
                 continue
             if not token.startswith("leaf:"):
                 self.fail(
@@ -308,9 +305,7 @@ class _TreeParser:
                     ("'leaf:<name>'", "'(pair <st> <tree> <tree>)'"),
                 )
             name = token[len("leaf:"):]
-            if name not in self.gens.names:
-                raise UnknownGeneratorError(name, line=self.line, column=column)
-            tree: PairingTree = Leaf(self.gens.names.index(name))
+            tree: PairingTree = Leaf(self.gens.index(name, line=self.line, column=column))
             while open_nodes:
                 sigma, tau, children = open_nodes[-1]
                 children.append(tree)

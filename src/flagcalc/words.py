@@ -42,6 +42,18 @@ def parse_sign(char: str, *, column: int = 1) -> Sign:
     return _SIGN_FROM_CHAR[char]
 
 
+def parse_sign_pair(token: str, *, line: int = 1, column: int = 1) -> tuple[Sign, Sign]:
+    """Parse a sign pair like ``+-``: ``sigma`` then ``tau``."""
+    if len(token) != 2 or any(c not in _SIGN_FROM_CHAR for c in token):
+        raise ParseError(
+            f"bad sign pair {token!r}",
+            line=line,
+            column=column,
+            expected=("two signs like '+-'",),
+        )
+    return _SIGN_FROM_CHAR[token[0]], _SIGN_FROM_CHAR[token[1]]
+
+
 def _check_sign(sign: int) -> None:
     if sign not in (PLUS, MINUS):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
@@ -76,11 +88,11 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
+    def index(self, name: str, *, line: int = 1, column: int = 1) -> int:
         try:
             return self.names.index(name)
         except ValueError:
-            raise DomainError(f"unknown generator {name!r}") from None
+            raise UnknownGeneratorError(name, line=line, column=column) from None
 
 
 class SignedLetter(NamedTuple):
@@ -284,8 +296,6 @@ def parse_word(text: str, gens: GeneratorSet, *, line: int = 1) -> SignedWord:
                 column=column,
                 expected=("'<name>+'", "'<name>-'"),
             )
-        name, sc = m.group(1), m.group(2)
-        if name not in gens.names:
-            raise UnknownGeneratorError(name, line=line, column=column)
-        letters.append(SignedLetter(gens.names.index(name), _SIGN_FROM_CHAR[sc]))
+        gen = gens.index(m.group(1), line=line, column=column)
+        letters.append(SignedLetter(gen, _SIGN_FROM_CHAR[m.group(2)]))
     return SignedWord(gens, tuple(letters))

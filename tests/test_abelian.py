@@ -205,18 +205,13 @@ class TestLatticeText:
         lat = parse_lattice("2 0\n1 7\n")
         assert parse_lattice(format_lattice(lat)) == lat
 
-    def test_empty_text_needs_dim(self):
-        assert parse_lattice("", dim=2) == RelationLattice.free(2)
+    def test_needs_a_row(self):
         with pytest.raises(ParseError):
-            parse_lattice("")
+            parse_lattice("# no rows\n")
 
     def test_inconsistent_row_lengths(self):
         with pytest.raises(ParseError):
             parse_lattice("1 2\n3\n")
-
-    def test_declared_dim_must_match(self):
-        with pytest.raises(DomainError):
-            parse_lattice("1 2\n", dim=3)
 
     def test_non_integer_entry(self):
         with pytest.raises(ParseError):

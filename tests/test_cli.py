@@ -195,6 +195,10 @@ class TestCheckCommand:
         assert code == 2
 
 
+# A square around the origin whose first edge runs through (1,0).
+SQUARE = "loop 0 F (1,-1) (1,1) (-1,1) (-1,-1)"
+
+
 class TestSessionPersistence:
     def test_save_load_save_is_lossless(self, tmp_path):
         session = Session()
@@ -239,6 +243,61 @@ class TestSessionPersistence:
         out_path = tmp_path / "resaved.session"
         run(session, f"save {out_path}")
         assert "canon b- a-" in out_path.read_text()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "gens a b\nbind w word b+ a-\ngens x\n",
+            f"punctures: (0,0)\nbind l {SQUARE}\npunctures: (1,0)\n",
+            "policy lex\ngens a\npolicy explicit\n",
+            "lattice 0 2\ngens a\nlattice 1 1\n3\n",
+        ],
+    )
+    def test_a_second_header_line_is_refused(self, tmp_path, text):
+        # Loading the first two would keep a binding the second line breaks:
+        # the word's 'b' under 'gens x', the square through the puncture (1,0).
+        path = tmp_path / "twice.session"
+        path.write_text(text)
+        _, _, err, code = run(Session(), f"load {path}")
+        head = text.splitlines()[2].split()[0]
+        assert (err, code) == (f"3:1: duplicate {head!r} line", 2)
+
+    def test_gens_drops_the_words_it_breaks(self, tmp_path):
+        path, saved = tmp_path / "in.session", tmp_path / "out.session"
+        path.write_text("gens a b\npolicy lex\nbind w word b+ a-\n")
+        out, err, code = script_output(
+            f"load {path}\ngens x\nsave {saved}\nload {saved}\n"
+        )
+        assert (err, code) == ("", 0)
+        assert saved.read_text() == "gens x\npolicy lex\n"
+
+    @pytest.mark.parametrize(
+        "session_text, command, file_text, error",
+        [
+            ("punctures:\n", "plane load", "punctures:\n", "1:1: no punctures declared"),
+            (
+                f"punctures: (1,0)\nbind l {SQUARE}\n",
+                "plane load",
+                f"punctures: (1,0)\n{SQUARE}\n",
+                "2:1: loop edge 0 passes through puncture 1",
+            ),
+            (
+                "lattice 1 2\n1 x\n",
+                "lattice load",
+                "# rows\n1 x\n",
+                "2:3: bad integer 'x' in lattice row (expected integer)",
+            ),
+        ],
+    )
+    def test_session_errors_match_the_standalone_readers(
+        self, tmp_path, session_text, command, file_text, error
+    ):
+        session_path, other_path = tmp_path / "in.session", tmp_path / "other"
+        session_path.write_text(session_text)
+        other_path.write_text(file_text)
+        _, _, session_err, session_code = run(Session(), f"load {session_path}")
+        _, _, other_err, other_code = run(Session(), f"{command} {other_path}")
+        assert (session_err, session_code) == (other_err, other_code) == (error, 2)
 
     def test_bad_session_directive_is_syntax_error(self, tmp_path):
         path = tmp_path / "bad.session"
@@ -379,7 +438,9 @@ def session_files(draw) -> str:
     dim = draw(st.integers(1, 3))
     row = st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)
     rows = draw(st.lists(row, max_size=3))
-    lines += [f"lattice {len(rows)} {dim}"] + [" ".join(map(str, r)) for r in rows]
+    comment = st.sampled_from(["", "  # a comment"])
+    lines.append(f"lattice {len(rows)} {dim}")
+    lines += [" ".join(map(str, r)) + draw(comment) for r in rows]
     xs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
     points = [f"({x},{draw(st.integers(-2, 2))})" for x in xs]
     lines.append("punctures: " + " ".join(points))

@@ -267,7 +267,7 @@ class TestFreeWord:
             FreeWord(((0, 2),))
 
     def test_group_identities(self):
-        x = FreeWord.from_letters([(0, 1), (1, -1), (1, -1)])
+        x = FreeWord(free_reduce([(0, 1), (1, -1), (1, -1)]))
         assert (x * x.inverse()).is_identity
         assert x.inverse().inverse() == x
 
@@ -280,15 +280,15 @@ class TestFreeWord:
         ),
     )
     def test_product_exponents_add(self, xs, ys):
-        u = FreeWord.from_letters(xs)
-        v = FreeWord.from_letters(ys)
+        u = FreeWord(free_reduce(xs))
+        v = FreeWord(free_reduce(ys))
         sums = tuple(
             a + b for a, b in zip(u.exponent_sums(2), v.exponent_sums(2))
         )
         assert (u * v).exponent_sums(2) == sums
 
     def test_format(self):
-        word = FreeWord.from_letters([(0, 1), (0, 1), (1, -1)])
+        word = FreeWord(free_reduce([(0, 1), (0, 1), (1, -1)]))
         assert format_free_word(word) == "x1 x1 x2^-1"
         assert format_free_word(FreeWord()) == ""
 

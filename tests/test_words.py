@@ -55,8 +55,9 @@ class TestGeneratorSet:
             GeneratorSet.of(name)
 
     def test_unknown_name_lookup(self):
-        with pytest.raises(DomainError):
-            GENS.index("q")
+        with pytest.raises(UnknownGeneratorError) as info:
+            GENS.index("q", line=3, column=5)
+        assert str(info.value).startswith("3:5: unknown generator 'q'")
 
 
 class TestLetterChecks:
