@@ -16,6 +16,7 @@ to guard against.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -286,37 +287,39 @@ def parse_vector(text: str, *, line: int = 1) -> AbelianVector:
             column=1,
             expected=("'(n1, n2, ...)'",),
         )
-    body = stripped[1:-1].strip()
-    if not body:
+    inner = stripped[1:-1]
+    if not inner.strip():
         raise ParseError(
             "vector literal needs at least one entry", line=line, column=2
         )
     coords = []
-    for part in body.split(","):
-        part = part.strip()
+    start = 1  # index in ``stripped`` of the current comma part
+    for part in inner.split(","):
+        entry = part.strip()
         try:
-            coords.append(int(part))
+            coords.append(int(entry))
         except ValueError:
             raise ParseError(
-                f"bad integer {part!r} in vector literal",
+                f"bad integer {entry!r} in vector literal",
                 line=line,
-                column=1 + stripped.index(part),
+                column=start + len(part) - len(part.lstrip()) + 1,
                 expected=("integer",),
             ) from None
+        start += len(part) + 1
     return AbelianVector(tuple(coords))
 
 
 def parse_lattice_row(raw: str, *, line: int = 1) -> list[int]:
     """Parse one lattice row: integers, then an optional ``#`` comment."""
     row = []
-    for token in raw.split("#", 1)[0].split():
+    for match in re.finditer(r"\S+", raw.split("#", 1)[0]):
         try:
-            row.append(int(token))
+            row.append(int(match.group()))
         except ValueError:
             raise ParseError(
-                f"bad integer {token!r} in lattice row",
+                f"bad integer {match.group()!r} in lattice row",
                 line=line,
-                column=raw.index(token) + 1,
+                column=match.start() + 1,
                 expected=("integer",),
             ) from None
     return row

@@ -484,6 +484,10 @@ def _parse_session_text(text: str) -> Session:
                     n_rows, dim = int(fields[0]), int(fields[1])
                 except ValueError as exc:
                     raise ParseError(f"bad integer in session file: {exc}", line=lineno) from None
+                if n_rows < 0:
+                    raise ParseError(
+                        f"negative lattice row count {n_rows}", line=lineno
+                    )
                 rows = []
                 for _ in range(n_rows):
                     if i >= len(lines):

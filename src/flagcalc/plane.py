@@ -7,13 +7,17 @@ intersections with the downward vertical ray under each puncture, connected
 sums by rerouting both loops through a shared base point along a
 there-and-back corridor.
 
-Coordinates are rational, but the predicates run on integers.  Each
-operation scales the points it looks at to their common denominator once
-(:func:`_scaled`), then takes every orientation, on-segment, triangle, ray
-and ordering test on Python ints.  Each test is the sign of an order
-comparison or of a cross product, and multiplying every coordinate by one
-positive integer keeps those signs, so the answers are those of the rational
-points, with no tolerances.
+Coordinates are rational, but the predicates run on integers.  A loop
+carries its vertices as integer pairs over their least common denominator,
+computed once when it is built from points.  The loops that flag moves and
+connected sums derive are built straight from their operands' integers, and
+a loop builds its ``Point`` tuple only when asked for it.  Each operation
+scales the punctures and the base point to a common denominator with the
+loop (:func:`_over_one_den`), then takes every orientation, on-segment,
+triangle, ray and ordering test on Python ints.  Each test is the sign of an
+order comparison or of a cross product, and multiplying every coordinate by
+one positive integer keeps those signs, so the answers are those of the
+rational points, with no tolerances.
 
 The corridor's return leg is offset by a small rational shear so the out and
 back segments do not overlap; the shear is shrunk deterministically until
@@ -24,11 +28,13 @@ number unchanged.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, TypeVar
+from itertools import chain
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     DomainError,
@@ -58,16 +64,33 @@ _IntPoint = tuple[int, int]
 _Seq = TypeVar("_Seq", tuple, list)
 
 
-def _scaled(points: Sequence[Point]) -> tuple[int, list[_IntPoint]]:
-    """The least common denominator of ``points`` and the points times it."""
-    den = math.lcm(*{c.denominator for p in points for c in (p.x, p.y)})
-    return den, [
+def _lcd(points: Iterable[Point]) -> int:
+    """The least common denominator of the coordinates of ``points``."""
+    return math.lcm(*{c.denominator for p in points for c in (p.x, p.y)})
+
+
+def _scale(points: Iterable[Point], den: int) -> list[_IntPoint]:
+    """``points`` times ``den``, a multiple of every coordinate's denominator."""
+    return [
         (
             p.x.numerator * (den // p.x.denominator),
             p.y.numerator * (den // p.y.denominator),
         )
         for p in points
     ]
+
+
+def _times(points: Sequence[_IntPoint], factor: int) -> list[_IntPoint]:
+    """A new list of integer ``points`` times ``factor``.
+
+    The predicates slice and concatenate what this returns, and lists keep
+    that off tuples.  CPython 3.11 keeps up to 2,000 freed tuples of each
+    length from 1 to 20 for reuse; over repeated ``oracle sweep`` runs the
+    length-20 ones filled that cache, about 0.4 MB.
+    """
+    if factor == 1:
+        return list(points)
+    return [(x * factor, y * factor) for x, y in points]
 
 
 def _walk(items: _Seq, flag: int, traversal: str) -> _Seq:
@@ -132,7 +155,6 @@ class PuncturedPlane:
 ORIGIN_PLANE = PuncturedPlane((Point.of(0, 0),))
 
 
-@dataclass(frozen=True)
 class FlaggedLoop:
     """Closed polygon with a flag vertex and a traversal direction.
 
@@ -140,36 +162,115 @@ class FlaggedLoop:
     it negates every winding number.  Consecutive vertices must differ, also
     across the wrap-around; a vertex may repeat non-consecutively, so
     spiral-shaped loops are fine.
+
+    The loop keeps its vertices as integer pairs over their least common
+    denominator, which is what the predicates read; ``vertices`` builds the
+    :class:`Point` tuple from them on first access.  Loops are immutable and
+    compare and hash by value.
     """
 
-    vertices: tuple[Point, ...]
-    flag_vertex: int
-    traversal: str = "F"
+    __slots__ = ("flag_vertex", "traversal", "_den", "_ints", "_vertices")
 
-    def __post_init__(self) -> None:
-        n = len(self.vertices)
+    def __init__(
+        self, vertices: Sequence[Point], flag_vertex: int, traversal: str = "F"
+    ) -> None:
+        vertices = tuple(vertices)
+        den = _lcd(vertices)
+        self._set(den, _scale(vertices, den), flag_vertex, traversal, vertices)
+
+    @classmethod
+    def _of_ints(
+        cls, den: int, ints: list[_IntPoint], flag_vertex: int, traversal: str
+    ) -> FlaggedLoop:
+        """The loop of vertices ``ints`` over ``den``, their least denominator."""
+        loop = object.__new__(cls)
+        loop._set(den, ints, flag_vertex, traversal, None)
+        return loop
+
+    def _set(
+        self,
+        den: int,
+        ints: list[_IntPoint],
+        flag_vertex: int,
+        traversal: str,
+        vertices: tuple[Point, ...] | None,
+    ) -> None:
+        n = len(ints)
         if n < 3:
             raise DomainError("a loop needs at least three vertices")
-        if not 0 <= self.flag_vertex < n:
+        if not 0 <= flag_vertex < n:
             raise DomainError(
-                f"flag vertex {self.flag_vertex} out of range for {n} vertices"
+                f"flag vertex {flag_vertex} out of range for {n} vertices"
             )
-        if self.traversal not in ("F", "B"):
-            raise DomainError(f"traversal must be 'F' or 'B', got {self.traversal!r}")
-        for i in range(n):
-            if self.vertices[i] == self.vertices[(i + 1) % n]:
-                raise DomainError(f"consecutive vertices {i} and {(i + 1) % n} coincide")
+        if traversal not in ("F", "B"):
+            raise DomainError(f"traversal must be 'F' or 'B', got {traversal!r}")
+        same = list(map(operator.eq, ints, ints[1:] + ints[:1]))
+        if True in same:
+            i = same.index(True)
+            raise DomainError(f"consecutive vertices {i} and {(i + 1) % n} coincide")
+        for name, value in (
+            ("flag_vertex", flag_vertex),
+            ("traversal", traversal),
+            ("_den", den),
+            ("_ints", tuple(ints)),
+            ("_vertices", vertices),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        if self._vertices is None:
+            den = self._den
+            object.__setattr__(
+                self,
+                "_vertices",
+                tuple(Point(Fraction(x, den), Fraction(y, den)) for x, y in self._ints),
+            )
+        return self._vertices
 
     def directed_vertices(self) -> tuple[Point, ...]:
         """Vertices starting at the flag, following the traversal direction."""
         return _walk(self.vertices, self.flag_vertex, self.traversal)
 
+    def _key(self) -> tuple:
+        return (self._den, self._ints, self.flag_vertex, self.traversal)
 
-def ensure_avoids(loop: FlaggedLoop, plane: PuncturedPlane) -> None:
-    """Raise unless every vertex and edge stays clear of every puncture."""
-    n = len(loop.vertices)
-    _, scaled = _scaled(loop.vertices + plane.punctures)
-    vertices, punctures = scaled[:n], scaled[n:]
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(vertices={self.vertices!r}, "
+            f"flag_vertex={self.flag_vertex!r}, traversal={self.traversal!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.vertices, self.flag_vertex, self.traversal))
+
+
+def _over_one_den(
+    loop: FlaggedLoop, points: Sequence[Point]
+) -> tuple[int, list[_IntPoint], list[_IntPoint]]:
+    """A common denominator of ``loop`` and ``points``, and both scaled to it."""
+    den = math.lcm(loop._den, _lcd(points))
+    return den, _times(loop._ints, den // loop._den), _scale(points, den)
+
+
+def _check_avoids(
+    vertices: Sequence[_IntPoint], punctures: Sequence[_IntPoint]
+) -> None:
+    """:func:`ensure_avoids` on vertices and punctures over one denominator."""
     for j, p in enumerate(punctures):
         for i, v in enumerate(vertices):
             if v == p:
@@ -179,6 +280,12 @@ def ensure_avoids(loop: FlaggedLoop, plane: PuncturedPlane) -> None:
                 raise DomainError(f"loop edge {i} passes through puncture {j + 1}")
 
 
+def ensure_avoids(loop: FlaggedLoop, plane: PuncturedPlane) -> None:
+    """Raise unless every vertex and edge stays clear of every puncture."""
+    _, vertices, punctures = _over_one_den(loop, plane.punctures)
+    _check_avoids(vertices, punctures)
+
+
 def winding_number(loop: FlaggedLoop, puncture: Point) -> int:
     """Signed crossing count of the directed loop around ``puncture``.
 
@@ -186,10 +293,10 @@ def winding_number(loop: FlaggedLoop, puncture: Point) -> int:
     are treated half-open in y, so vertices landing exactly on the
     horizontal through the puncture are attributed to exactly one edge.
     """
-    _, (*walk, p) = _scaled(loop.directed_vertices() + (puncture,))
+    _, vertices, (p,) = _over_one_den(loop, (puncture,))
     py = p[1]
     wn = 0
-    for a, b in _edges(walk):
+    for a, b in _edges(_walk(vertices, loop.flag_vertex, loop.traversal)):
         cross = _cross(a, b, p)
         if cross == 0 and _in_box(p, a, b):
             raise DomainError("loop touches the puncture; winding is undefined")
@@ -210,17 +317,20 @@ def winding_profile(loop: FlaggedLoop, plane: PuncturedPlane) -> tuple[int, ...]
 _STATIONS = ((1, 2), (1, 3), (2, 5), (3, 7), (4, 9))
 
 
-def _detour_point(w0: Point, base: Point, plane: PuncturedPlane) -> Point:
-    """Shear offset for the corridor's return leg.
+def _detour_point(
+    w: _IntPoint, b: _IntPoint, punctures: Sequence[_IntPoint]
+) -> tuple[int, _IntPoint]:
+    """Shear offset for the corridor's return leg, as ``(m, q)``.
 
-    Raises :class:`RerouteError` when the corridor from ``w0`` to ``base``
+    ``w`` (the flag), ``b`` (the base) and ``punctures`` are integers over
+    one denominator ``den``; the point found is ``q`` over ``den * m``.
+    Raises :class:`RerouteError` when the corridor from ``w`` to ``b``
     passes through a puncture.  Otherwise deterministically tries
     midpoint-like stations ``t`` along the corridor and shrinking
-    perpendicular offsets ``±2^-k`` until the closed triangle
-    ``(w0, base, q)`` contains no puncture and ``q`` sits off every downward
-    ray.  The triangle condition is what preserves winding numbers.
+    perpendicular offsets ``±2^-k`` until the closed triangle ``(w, b, q)``
+    contains no puncture and ``q`` sits off every downward ray.  The
+    triangle condition is what preserves winding numbers.
     """
-    den, (w, b, *punctures) = _scaled((w0, base) + plane.punctures)
     for p in punctures:
         if _on_segment(p, w, b):
             raise RerouteError(
@@ -245,7 +355,7 @@ def _detour_point(w0: Point, base: Point, plane: PuncturedPlane) -> Point:
                     continue
                 if any(_in_closed_triangle(p, ws, bs, q) for p in ps):
                     continue
-                return Point(Fraction(q[0], den * m), Fraction(q[1], den * m))
+                return m, q
     raise RerouteError("could not route the corridor's return leg past the punctures")
 
 
@@ -259,13 +369,20 @@ def normalize_flag(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> Fla
     for p in plane.punctures:
         if base == p:
             raise DomainError("base point coincides with a puncture")
-    ensure_avoids(loop, plane)
-    walk = loop.directed_vertices()
-    if walk[0] == base:
-        return FlaggedLoop(walk, 0, "F")
+    den, vertices, (b, *punctures) = _over_one_den(loop, (base,) + plane.punctures)
+    _check_avoids(vertices, punctures)
+    walk = _walk(vertices, loop.flag_vertex, loop.traversal)
+    if walk[0] == b:
+        rotated = _walk(list(loop._ints), loop.flag_vertex, loop.traversal)
+        return FlaggedLoop._of_ints(loop._den, rotated, 0, "F")
     w0 = walk[0]
-    q = _detour_point(w0, base, plane)
-    return FlaggedLoop((base,) + walk + (w0, q), 0, "F")
+    m, q = _detour_point(w0, b, punctures)
+    ints = _times([b, *walk, w0], m)
+    ints.append(q)
+    den *= m
+    # ``den`` covers the punctures too; the loop keeps the least one.
+    g = math.gcd(den, *chain.from_iterable(ints))
+    return FlaggedLoop._of_ints(den // g, [(x // g, y // g) for x, y in ints], 0, "F")
 
 
 def connected_sum(
@@ -286,13 +403,13 @@ def connected_sum(
     _check_sign(tau)
     n1 = normalize_flag(l1, base, plane)
     n2 = normalize_flag(l2, base, plane)
-    tail1 = n1.vertices[1:]
-    if sigma < 0:
-        tail1 = tuple(reversed(tail1))
-    tail2 = n2.vertices[1:]
-    if tau > 0:
-        tail2 = tuple(reversed(tail2))
-    return FlaggedLoop((base,) + tail1 + (base,) + tail2, 0, "F")
+    # The lcm of the two least common denominators is the union's least one.
+    den = math.lcm(n1._den, n2._den)
+    v1 = _times(n1._ints, den // n1._den)
+    v2 = _times(n2._ints, den // n2._den)
+    tail1 = v1[1:] if sigma > 0 else v1[:0:-1]
+    tail2 = v2[:0:-1] if tau > 0 else v2[1:]
+    return FlaggedLoop._of_ints(den, [v1[0], *tail1, v1[0], *tail2], 0, "F")
 
 
 DEFAULT_BASE_POINTS: tuple[Point, ...] = (
@@ -379,10 +496,8 @@ def crossing_word(loop: FlaggedLoop, plane: PuncturedPlane) -> FreeWord:
     A vertex sitting exactly on a ray makes the crossing ill-defined, which
     raises :class:`RayDegeneracyError`; nudge the vertex and retry.
     """
-    ensure_avoids(loop, plane)
-    n = len(loop.vertices)
-    _, scaled = _scaled(loop.vertices + plane.punctures)
-    vertices, punctures = scaled[:n], scaled[n:]
+    _, vertices, punctures = _over_one_den(loop, plane.punctures)
+    _check_avoids(vertices, punctures)
     for i, v in enumerate(vertices):
         for j, p in enumerate(punctures):
             if v[0] == p[0] and v[1] < p[1]:
@@ -522,8 +637,18 @@ def parse_point(token: str, *, line: int = 1, column: int = 1) -> Point:
         ) from None
 
 
+def _format_coordinate(n: int, den: int) -> str:
+    """``n / den`` as :func:`format_point` writes it: ``str`` of the reduced Fraction."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def format_loop_literal(loop: FlaggedLoop) -> str:
-    points = " ".join(format_point(v) for v in loop.vertices)
+    den = loop._den
+    points = " ".join(
+        f"({_format_coordinate(x, den)},{_format_coordinate(y, den)})"
+        for x, y in loop._ints
+    )
     return f"loop {loop.flag_vertex} {loop.traversal} {points}"
 
 

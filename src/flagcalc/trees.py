@@ -31,7 +31,6 @@ from .words import (
     SignedLetter,
     SignedWord,
     _check_sign,
-    parse_sign,
     parse_sign_pair,
     sign_char,
 )
@@ -269,7 +268,7 @@ class _TreeParser:
             token, column = self.take("'+'", "'-'")
             if token not in ("+", "-"):
                 self.fail(f"bad root sign {token!r}", column, ("'+'", "'-'"))
-            root_sign = parse_sign(token, column=column)
+            root_sign = PLUS if token == "+" else MINUS
             tree = self.parse_tree()
             closer, column = self.take("']'")
             if closer != "]":

@@ -114,6 +114,23 @@ class TestErrorCodes:
         assert code == 1
         assert "dimension" in err
 
+    def test_bad_lattice_entry_reports_its_own_column(self, tmp_path):
+        # The bad '-' also occurs at column 1, inside the entry '-3'.
+        lat = tmp_path / "bad.lat"
+        lat.write_text("-3 -\n")
+        _, _, err, code = run(Session(), f"lattice load {lat}")
+        assert (err, code) == (
+            "1:4: bad integer '-' in lattice row (expected integer)",
+            2,
+        )
+
+    def test_bad_vector_entry_reports_its_own_column(self):
+        _, _, err, code = run(Session(), "coset (-3, -)")
+        assert (err, code) == (
+            "1:6: bad integer '-' in vector literal (expected integer)",
+            2,
+        )
+
     def test_missing_file_is_domain_error(self):
         _, _, err, code = run(Session(), "lattice load /nonexistent.lat")
         assert code == 1
@@ -298,6 +315,12 @@ class TestSessionPersistence:
         _, _, session_err, session_code = run(Session(), f"load {session_path}")
         _, _, other_err, other_code = run(Session(), f"{command} {other_path}")
         assert (session_err, session_code) == (other_err, other_code) == (error, 2)
+
+    def test_negative_lattice_row_count_is_refused(self, tmp_path):
+        path = tmp_path / "negative.session"
+        path.write_text("gens a\nlattice -2 2\n")
+        _, _, err, code = run(Session(), f"load {path}")
+        assert (err, code) == ("2:1: negative lattice row count -2", 2)
 
     def test_bad_session_directive_is_syntax_error(self, tmp_path):
         path = tmp_path / "bad.session"

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from flagcalc.plane import (
     ensure_avoids,
     format_free_word,
     format_loop_literal,
+    format_point,
     free_reduce,
     normalize_flag,
     parse_loop_literal,
@@ -115,6 +118,12 @@ class TestFlaggedLoop:
         loop = FlaggedLoop(CCW_SQUARE.vertices, 1, "B")
         v = CCW_SQUARE.vertices
         assert loop.directed_vertices() == (v[1], v[0], v[3], v[2])
+
+    def test_is_frozen_and_pickles_by_value(self):
+        loop = FlaggedLoop(CCW_SQUARE.vertices, 2, "B")
+        with pytest.raises(FrozenInstanceError):
+            loop.flag_vertex = 0
+        assert pickle.loads(pickle.dumps(loop)) == loop
 
     def test_vertex_on_puncture_is_rejected(self):
         bad = FlaggedLoop((ORIGIN, Point.of(1, 1), Point.of(2, 0)), 0)
@@ -516,11 +525,77 @@ class TestExactPredicates:
     def test_detour_point_matches_fraction_reference(self, case):
         plane, w0, base = case
         expected = reference_detour(w0, base, plane)
+        points = (w0, base) + plane.punctures
+        den = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+        w, b, *punctures = [(int(p.x * den), int(p.y * den)) for p in points]
         if expected is None:
             with pytest.raises(RerouteError):
-                _detour_point(w0, base, plane)
+                _detour_point(w, b, punctures)
         else:
-            assert _detour_point(w0, base, plane) == expected
+            m, (qx, qy) = _detour_point(w, b, punctures)
+            assert Point(Fraction(qx, den * m), Fraction(qy, den * m)) == expected
+
+
+@st.composite
+def spread_planes(draw):
+    """One to three punctures 20 apart in x, offset by small rationals."""
+    count = draw(st.integers(1, 3))
+    return PuncturedPlane(
+        tuple(
+            Point(20 * i + draw(rationals()), draw(rationals()))
+            for i in range(count)
+        )
+    )
+
+
+def point_literal(loop: FlaggedLoop) -> str:
+    """``format_loop_literal`` written through the loop's ``Point`` vertices."""
+    points = " ".join(format_point(v) for v in loop.vertices)
+    return f"loop {loop.flag_vertex} {loop.traversal} {points}"
+
+
+def reference_move(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> tuple:
+    """The vertices ``normalize_flag`` gives, built from Points and Fractions."""
+    walk = loop.directed_vertices()
+    if walk[0] == base:
+        return walk
+    return (base,) + walk + (walk[0], reference_detour(walk[0], base, plane))
+
+
+class TestDerivedLoops:
+    """Loops built from integer forms are the loops their Points describe."""
+
+    SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+    def check_loop(self, loop: FlaggedLoop) -> None:
+        rebuilt = FlaggedLoop(loop.vertices, loop.flag_vertex, loop.traversal)
+        assert loop == rebuilt and hash(loop) == hash(rebuilt)
+        literal = format_loop_literal(loop)
+        assert literal == point_literal(loop)
+        assert parse_loop_literal(literal) == loop
+
+    @settings(max_examples=60, deadline=None)
+    @given(spread_planes(), st.integers(0, 10**6))
+    def test_moves_and_sums_match_their_points(self, plane, seed):
+        try:
+            l1, l2 = sample_loops(plane, 2, seed)
+        except DomainError:
+            assume(False)
+        for base in DEFAULT_BASE_POINTS:
+            try:
+                moved = normalize_flag(l1, base, plane)
+            except RerouteError:
+                assert reference_detour(l1.directed_vertices()[0], base, plane) is None
+                continue
+            assert moved.vertices == reference_move(l1, base, plane)
+            self.check_loop(moved)
+            for sigma, tau in self.SIGN_PAIRS:
+                try:
+                    summed = connected_sum(l1, sigma, tau, l2, base, plane)
+                except RerouteError:
+                    continue
+                self.check_loop(summed)
+                self.check_loop(connected_sum(summed, tau, sigma, l1, base, plane))
 
 
 # --- pinned output ----------------------------------------------------------
