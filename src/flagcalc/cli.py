@@ -80,7 +80,7 @@ def _resolve_loop(session: Session, name: str) -> planes.FlaggedLoop:
     return bound
 
 
-def _positionals(args: list[str], options: dict[str, bool]) -> tuple[list[str], dict[str, str]]:
+def _positionals(args: list[str], options: tuple[str, ...]) -> tuple[list[str], dict[str, str]]:
     """Split ``args`` into positionals and ``--name value`` options."""
     pos: list[str] = []
     opts: dict[str, str] = {}
@@ -200,7 +200,7 @@ def _cmd_word2tree(session: Session, args: list[str]) -> tuple[str, int]:
 
 
 def _cmd_orbit(session: Session, args: list[str]) -> tuple[str, int]:
-    pos, opts = _positionals(args, {"cap": True})
+    pos, opts = _positionals(args, ("cap",))
     gens = _require_gens(session)
     cap = _int_option(opts, "cap", trees.DEFAULT_CLOSURE_CAP)
     rooted = _resolve_tree(session, _joined(pos, "orbit <tree> [--cap K]"))
@@ -268,7 +268,7 @@ def _cmd_fgword(session: Session, args: list[str]) -> tuple[str, int]:
 
 
 def _cmd_sum(session: Session, args: list[str]) -> tuple[str, int]:
-    pos, opts = _positionals(args, {"base": True})
+    pos, opts = _positionals(args, ("base",))
     _arity(pos, 3, "sum <st> <loop1> <loop2> --base (x,y)")
     if "base" not in opts:
         raise ParseError("missing required option --base")
@@ -286,7 +286,7 @@ def _cmd_sum(session: Session, args: list[str]) -> tuple[str, int]:
 def _cmd_oracle(session: Session, args: list[str]) -> tuple[str, int]:
     if not args or args[0] != "sweep":
         raise ParseError("usage: oracle sweep --samples K --seed S")
-    pos, opts = _positionals(args[1:], {"samples": True, "seed": True})
+    pos, opts = _positionals(args[1:], ("samples", "seed"))
     if pos:
         raise ParseError("usage: oracle sweep --samples K --seed S")
     samples = _int_option(opts, "samples")

@@ -31,7 +31,7 @@ import math
 import operator
 import random
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, TypeVar
@@ -155,6 +155,7 @@ class PuncturedPlane:
 ORIGIN_PLANE = PuncturedPlane((Point.of(0, 0),))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FlaggedLoop:
     """Closed polygon with a flag vertex and a traversal direction.
 
@@ -167,16 +168,39 @@ class FlaggedLoop:
     denominator, which is what the predicates read; ``vertices`` builds the
     :class:`Point` tuple from them on first access.  Loops are immutable and
     compare and hash by value.
+
+    ``FlaggedLoop(vertices, flag_vertex, traversal)`` checks every condition
+    above.  The loops that :func:`normalize_flag` and :func:`connected_sum`
+    derive from checked loops meet them by construction and are not checked
+    again.
     """
 
-    __slots__ = ("flag_vertex", "traversal", "_den", "_ints", "_vertices")
+    _den: int
+    _ints: tuple[_IntPoint, ...]
+    flag_vertex: int
+    traversal: str
+    _vertices: tuple[Point, ...] | None = field(compare=False)
 
     def __init__(
         self, vertices: Sequence[Point], flag_vertex: int, traversal: str = "F"
     ) -> None:
         vertices = tuple(vertices)
         den = _lcd(vertices)
-        self._set(den, _scale(vertices, den), flag_vertex, traversal, vertices)
+        ints = _scale(vertices, den)
+        n = len(ints)
+        if n < 3:
+            raise DomainError("a loop needs at least three vertices")
+        if not 0 <= flag_vertex < n:
+            raise DomainError(
+                f"flag vertex {flag_vertex} out of range for {n} vertices"
+            )
+        if traversal not in ("F", "B"):
+            raise DomainError(f"traversal must be 'F' or 'B', got {traversal!r}")
+        same = list(map(operator.eq, ints, ints[1:] + ints[:1]))
+        if True in same:
+            i = same.index(True)
+            raise DomainError(f"consecutive vertices {i} and {(i + 1) % n} coincide")
+        self._set(den, ints, flag_vertex, traversal, vertices)
 
     @classmethod
     def _of_ints(
@@ -195,27 +219,11 @@ class FlaggedLoop:
         traversal: str,
         vertices: tuple[Point, ...] | None,
     ) -> None:
-        n = len(ints)
-        if n < 3:
-            raise DomainError("a loop needs at least three vertices")
-        if not 0 <= flag_vertex < n:
-            raise DomainError(
-                f"flag vertex {flag_vertex} out of range for {n} vertices"
-            )
-        if traversal not in ("F", "B"):
-            raise DomainError(f"traversal must be 'F' or 'B', got {traversal!r}")
-        same = list(map(operator.eq, ints, ints[1:] + ints[:1]))
-        if True in same:
-            i = same.index(True)
-            raise DomainError(f"consecutive vertices {i} and {(i + 1) % n} coincide")
-        for name, value in (
-            ("flag_vertex", flag_vertex),
-            ("traversal", traversal),
-            ("_den", den),
-            ("_ints", tuple(ints)),
-            ("_vertices", vertices),
-        ):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_ints", tuple(ints))
+        object.__setattr__(self, "flag_vertex", flag_vertex)
+        object.__setattr__(self, "traversal", traversal)
+        object.__setattr__(self, "_vertices", vertices)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -232,28 +240,11 @@ class FlaggedLoop:
         """Vertices starting at the flag, following the traversal direction."""
         return _walk(self.vertices, self.flag_vertex, self.traversal)
 
-    def _key(self) -> tuple:
-        return (self._den, self._ints, self.flag_vertex, self.traversal)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__qualname__}(vertices={self.vertices!r}, "
             f"flag_vertex={self.flag_vertex!r}, traversal={self.traversal!r})"
         )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
         return (type(self), (self.vertices, self.flag_vertex, self.traversal))
@@ -366,16 +357,16 @@ def normalize_flag(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> Fla
     two legs cancel, so every winding number is preserved.  A loop already
     flagged at ``base`` is only rotated into traversal order.
     """
-    for p in plane.punctures:
-        if base == p:
-            raise DomainError("base point coincides with a puncture")
     den, vertices, (b, *punctures) = _over_one_den(loop, (base,) + plane.punctures)
+    if b in punctures:
+        raise DomainError("base point coincides with a puncture")
     _check_avoids(vertices, punctures)
     walk = _walk(vertices, loop.flag_vertex, loop.traversal)
     if walk[0] == b:
         rotated = _walk(list(loop._ints), loop.flag_vertex, loop.traversal)
         return FlaggedLoop._of_ints(loop._den, rotated, 0, "F")
     w0 = walk[0]
+    # The result needs no loop check: b != w0, and q lies off the line w0-b.
     m, q = _detour_point(w0, b, punctures)
     ints = _times([b, *walk, w0], m)
     ints.append(q)

@@ -36,12 +36,6 @@ def sign_char(sign: Sign) -> str:
     return "+" if sign > 0 else "-"
 
 
-def parse_sign(char: str, *, column: int = 1) -> Sign:
-    if char not in _SIGN_FROM_CHAR:
-        raise ParseError(f"bad sign {char!r}", column=column, expected=("'+'", "'-'"))
-    return _SIGN_FROM_CHAR[char]
-
-
 def parse_sign_pair(token: str, *, line: int = 1, column: int = 1) -> tuple[Sign, Sign]:
     """Parse a sign pair like ``+-``: ``sigma`` then ``tau``."""
     if len(token) != 2 or any(c not in _SIGN_FROM_CHAR for c in token):
@@ -98,14 +92,12 @@ class GeneratorSet:
 class SignedLetter(NamedTuple):
     """A single occurrence ``c_i^sign``; ``gen`` indexes the generator set.
 
-    A letter is checked by the :class:`SignedWord` it enters, not here.
+    A letter is checked once, when ``SignedWord(gens, letters)`` takes it from
+    a caller; the involution and products of checked words are not rechecked.
     """
 
     gen: int
     sign: Sign
-
-    def flipped(self) -> "SignedLetter":
-        return SignedLetter(self.gen, -self.sign)
 
 
 @dataclass(frozen=True)
@@ -126,6 +118,16 @@ class SignedWord:
     def empty(cls, gens: GeneratorSet) -> "SignedWord":
         return cls(gens, ())
 
+    @classmethod
+    def _of_checked(
+        cls, gens: GeneratorSet, letters: tuple[SignedLetter, ...]
+    ) -> "SignedWord":
+        """The word of ``letters``, already checked against ``gens``."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "gens", gens)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -138,7 +140,7 @@ class SignedWord:
             raise TypeError(f"cannot concatenate SignedWord with {type(other).__name__}")
         if other.gens != self.gens:
             raise DomainError("cannot concatenate words over different generator sets")
-        return SignedWord(self.gens, self.letters + other.letters)
+        return SignedWord._of_checked(self.gens, self.letters + other.letters)
 
     def __mul__(self, other: object) -> "SignedWord":
         if not isinstance(other, SignedWord):
@@ -147,8 +149,9 @@ class SignedWord:
 
     def involution(self) -> "SignedWord":
         """Reverse the word and negate every sign (an anti-automorphism)."""
-        return SignedWord(
-            self.gens, tuple(l.flipped() for l in reversed(self.letters))
+        return SignedWord._of_checked(
+            self.gens,
+            tuple(SignedLetter(gen, -sign) for gen, sign in reversed(self.letters)),
         )
 
 
@@ -212,8 +215,11 @@ class PresentationClass:
 
     @classmethod
     def from_canonical(cls, word: SignedWord) -> "PresentationClass":
-        """Build a class keeping ``word`` as the canonical presentation."""
-        return cls(word, word.involution())
+        """The class with ``word`` canonical; its involution ``anti`` needs no check."""
+        fiber = object.__new__(cls)
+        object.__setattr__(fiber, "canonical", word)
+        object.__setattr__(fiber, "anti", word.involution())
+        return fiber
 
     @property
     def is_degenerate(self) -> bool:

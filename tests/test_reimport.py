@@ -19,7 +19,9 @@ def test_reimported_package_is_released():
             cli.Session,
             cli.trees.Node,
             cli.words.SignedWord,
+            cli.words.PresentationClass,
             cli.planes.Point,
+            cli.planes.FlaggedLoop,
             cli.abelian.RelationLattice,
         )
         refs = [weakref.ref(cls) for cls in classes]

@@ -50,6 +50,10 @@ class TestEval:
         assert eval_tree(RootedPresentation(Leaf(0), PLUS), GENS) == w("a+")
         assert eval_tree(RootedPresentation(Leaf(0), MINUS), GENS) == w("a-")
 
+    def test_leaf_outside_the_generator_set_is_rejected(self):
+        with pytest.raises(DomainError):
+            eval_tree(RootedPresentation(Leaf(2)), GENS)
+
     @pytest.mark.parametrize(
         "sigma,tau,expected",
         [

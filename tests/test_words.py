@@ -17,7 +17,6 @@ from flagcalc.words import (
     format_word,
     iter_words,
     pair,
-    parse_sign,
     parse_word,
     words_of_length,
 )
@@ -81,12 +80,6 @@ class TestParsing:
         assert parse_word("", GENS) == SignedWord.empty(GENS)
         assert format_word(SignedWord.empty(GENS)) == ""
 
-    def test_sign_characters(self):
-        assert parse_sign("+") == PLUS
-        assert parse_sign("-") == MINUS
-        with pytest.raises(ParseError):
-            parse_sign("*")
-
     def test_unknown_generator_reports_name(self):
         with pytest.raises(UnknownGeneratorError) as exc:
             parse_word("a+ q-", GENS)
@@ -118,6 +111,12 @@ class TestInvolution:
     def test_anti_automorphism(self, u, v):
         assert u.concat(v).involution() == v.involution().concat(u.involution())
 
+    @given(signed_words, signed_words)
+    def test_derived_words_match_their_checked_rebuild(self, u, v):
+        for derived in (u.involution(), u.concat(v)):
+            assert derived == SignedWord(GENS, derived.letters)
+            assert all(type(letter) is SignedLetter for letter in derived.letters)
+
     def test_concat_requires_matching_generators(self):
         other = GeneratorSet.of("a")
         with pytest.raises(DomainError):
@@ -148,6 +147,11 @@ class TestPresentationClass:
     def test_classes_collapse_in_sets(self):
         seen = {class_of(w("a+ b+")), class_of(w("b- a-"))}
         assert len(seen) == 1
+
+    @given(signed_words)
+    def test_checked_constructor_accepts_every_class(self, word):
+        cls = class_of(word)
+        assert PresentationClass(cls.canonical, cls.anti) == cls
 
     def test_anti_field_is_validated(self):
         with pytest.raises(DomainError):
