@@ -4,8 +4,9 @@ Three layers, each a monoid homomorphism out of the previous one:
 
 * :func:`multiset_quotient` forgets letter order, keeping one count per
   signed generator;
-* :func:`abelianize` (factoring through :func:`difference_map`) keeps only
-  the difference ``#c_i+  -  #c_i-`` per generator;
+* :func:`abelianize` keeps only the difference ``#c_i+  -  #c_i-`` per
+  generator, the :func:`difference_map` of the multiset, counted straight
+  from the word's letter codes;
 * :func:`reduce_coset` reduces an integer vector modulo the row lattice of a
   relation matrix, yielding a canonical coset representative.
 
@@ -83,15 +84,10 @@ class AbelianVector:
 
 def multiset_quotient(word: SignedWord) -> SignedMultiset:
     """Forget letter order; additive over concatenation."""
-    n = len(word.gens)
-    plus = [0] * n
-    minus = [0] * n
-    for letter in word.letters:
-        if letter.sign > 0:
-            plus[letter.gen] += 1
-        else:
-            minus[letter.gen] += 1
-    return SignedMultiset(tuple(plus), tuple(minus))
+    counts = [0] * (2 * len(word.gens))
+    for code in word.codes:
+        counts[code] += 1
+    return SignedMultiset(tuple(counts[0::2]), tuple(counts[1::2]))
 
 
 def difference_map(ms: SignedMultiset) -> AbelianVector:
@@ -101,7 +97,10 @@ def difference_map(ms: SignedMultiset) -> AbelianVector:
 
 def abelianize(word: SignedWord) -> AbelianVector:
     """Signed exposure counts ``#c_i+ - #c_i-``; negates under the involution."""
-    return difference_map(multiset_quotient(word))
+    coords = [0] * len(word.gens)
+    for code in word.codes:
+        coords[code >> 1] += 1 - 2 * (code & 1)
+    return AbelianVector(tuple(coords))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -28,7 +28,6 @@ from .words import (
     PLUS,
     GeneratorSet,
     Sign,
-    SignedLetter,
     SignedWord,
     _check_sign,
     parse_sign_pair,
@@ -85,19 +84,22 @@ def eval_tree(rooted: RootedPresentation, gens: GeneratorSet) -> SignedWord:
     Pushes signs down to the leaves: at ``-`` a node reads as the involution
     of its ``+`` value, ``right`` at ``tau`` then ``left`` at ``-sigma``.
     """
-    letters: list[SignedLetter] = []
+    codes: list[int] = []
     stack = [(rooted.tree, rooted.root_sign)]
     while stack:
         tree, sign = stack.pop()
         if isinstance(tree, Leaf):
-            letters.append(SignedLetter(tree.gen, sign))
+            codes.append(2 * tree.gen + (sign < 0))
         elif sign > 0:
             stack.append((tree.right, -tree.tau))
             stack.append((tree.left, tree.sigma))
         else:
             stack.append((tree.left, -tree.sigma))
             stack.append((tree.right, tree.tau))
-    return SignedWord(gens, tuple(letters))
+    word = SignedWord._of_codes(gens, tuple(codes))
+    if max(codes, default=0) >= 2 * len(gens):
+        SignedWord(gens, word.letters)  # raises the checked constructor's error
+    return word
 
 
 def flip(node: PairingTree) -> Node:
@@ -114,19 +116,20 @@ def word_to_tree(word: SignedWord) -> RootedPresentation:
     on the bottom node's left slot otherwise; each later letter ``c^s`` is
     appended as the right leaf of a ``(+, -s)`` node.
     """
-    letters = word.letters
-    if not letters:
+    codes = word.codes
+    if not codes:
         raise DomainError("the empty word has no pairing tree")
-    if len(letters) == 1:
-        return RootedPresentation(Leaf(letters[0].gen), letters[0].sign)
+    # A code's low bit is 1 for a ``-`` letter, so ``1 - 2 * bit`` is its sign.
+    if len(codes) == 1:
+        return RootedPresentation(Leaf(codes[0] >> 1), 1 - 2 * (codes[0] & 1))
     acc: PairingTree = Node(
-        letters[0].sign,
-        -letters[1].sign,
-        Leaf(letters[0].gen),
-        Leaf(letters[1].gen),
+        1 - 2 * (codes[0] & 1),
+        2 * (codes[1] & 1) - 1,
+        Leaf(codes[0] >> 1),
+        Leaf(codes[1] >> 1),
     )
-    for letter in letters[2:]:
-        acc = Node(PLUS, -letter.sign, acc, Leaf(letter.gen))
+    for code in codes[2:]:
+        acc = Node(PLUS, 2 * (code & 1) - 1, acc, Leaf(code >> 1))
     return RootedPresentation(acc, PLUS)
 
 

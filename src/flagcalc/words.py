@@ -6,6 +6,12 @@ negating every sign is an involutive anti-automorphism.  Each word and its
 involution form an unordered two-element fiber, a *presentation class*; a
 canonical-choice policy selects which member is the preferred presentation.
 
+A word stores each letter ``c_i^s`` as the int code ``2*i + (s < 0)``, so
+the involution reverses the codes and flips their low bit, and comparing
+code tuples is the letter order (generator index ascending, then ``+``
+before ``-``).  ``SignedWord(gens, letters)`` takes :class:`SignedLetter`
+pairs and checks them; the ``letters`` property rebuilds them from the codes.
+
 Connected sums of two classes are computed on chosen presentations via
 :func:`pair` and satisfy a commutation law checked by
 :func:`check_commutation_law`:  ``pair(a, s, t, b)`` and ``pair(b, t, s, a)``
@@ -17,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Mapping, NamedTuple
+from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import DomainError, ParseError, UnknownGeneratorError
 
@@ -93,43 +99,51 @@ class SignedLetter(NamedTuple):
     """A single occurrence ``c_i^sign``; ``gen`` indexes the generator set.
 
     A letter is checked once, when ``SignedWord(gens, letters)`` takes it from
-    a caller; the involution and products of checked words are not rechecked.
+    a caller; words keep letter codes, and ``SignedWord.letters`` rebuilds
+    letters from them.
     """
 
     gen: int
     sign: Sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SignedWord:
-    """An immutable word of signed letters over a fixed generator set."""
+    """An immutable word over a fixed generator set, one letter code per letter."""
 
     gens: GeneratorSet
-    letters: tuple[SignedLetter, ...] = ()
+    codes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.gens)
-        for gen, sign in self.letters:
+    def __init__(self, gens: GeneratorSet, letters: Iterable[SignedLetter] = ()) -> None:
+        n = len(gens)
+        codes = []
+        for gen, sign in letters:
             if not 0 <= gen < n:
                 raise DomainError(f"letter index {gen} out of range for {n} generators")
             _check_sign(sign)
+            codes.append(2 * gen + (sign < 0))
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "codes", tuple(codes))
 
     @classmethod
     def empty(cls, gens: GeneratorSet) -> "SignedWord":
-        return cls(gens, ())
+        return cls._of_codes(gens, ())
 
     @classmethod
-    def _of_checked(
-        cls, gens: GeneratorSet, letters: tuple[SignedLetter, ...]
-    ) -> "SignedWord":
-        """The word of ``letters``, already checked against ``gens``."""
+    def _of_codes(cls, gens: GeneratorSet, codes: tuple[int, ...]) -> "SignedWord":
+        """The word of ``codes``, each already in ``range(2 * len(gens))``."""
         word = object.__new__(cls)
         object.__setattr__(word, "gens", gens)
-        object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "codes", codes)
         return word
 
+    @property
+    def letters(self) -> tuple[SignedLetter, ...]:
+        """The letters, rebuilt from the codes; hot paths read ``codes``."""
+        return tuple(SignedLetter(c >> 1, MINUS if c & 1 else PLUS) for c in self.codes)
+
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -140,7 +154,7 @@ class SignedWord:
             raise TypeError(f"cannot concatenate SignedWord with {type(other).__name__}")
         if other.gens != self.gens:
             raise DomainError("cannot concatenate words over different generator sets")
-        return SignedWord._of_checked(self.gens, self.letters + other.letters)
+        return SignedWord._of_codes(self.gens, self.codes + other.codes)
 
     def __mul__(self, other: object) -> "SignedWord":
         if not isinstance(other, SignedWord):
@@ -149,15 +163,7 @@ class SignedWord:
 
     def involution(self) -> "SignedWord":
         """Reverse the word and negate every sign (an anti-automorphism)."""
-        return SignedWord._of_checked(
-            self.gens,
-            tuple(SignedLetter(gen, -sign) for gen, sign in reversed(self.letters)),
-        )
-
-
-def _lex_key(word: SignedWord) -> tuple[tuple[int, int], ...]:
-    # Letter order: generator index ascending, then + before -.
-    return tuple((l.gen, 0 if l.sign > 0 else 1) for l in word.letters)
+        return SignedWord._of_codes(self.gens, tuple(c ^ 1 for c in reversed(self.codes)))
 
 
 @dataclass(frozen=True)
@@ -182,14 +188,19 @@ class CanonicalPolicy:
                 )
 
     def choose(self, word: SignedWord) -> SignedWord:
-        anti = word.involution()
+        return self._order(word, word.involution())[0]
+
+    def _order(
+        self, word: SignedWord, anti: SignedWord
+    ) -> tuple[SignedWord, SignedWord]:
+        """The fiber ``{word, anti}`` as ``(canonical, other member)``."""
         if self.mode == "explicit":
             choice = self.overrides.get(word)
             if choice is None:
                 choice = self.overrides.get(anti)
             if choice is not None:
-                return choice
-        return min(word, anti, key=_lex_key)
+                return (word, anti) if choice == word else (anti, word)
+        return (anti, word) if anti.codes < word.codes else (word, anti)
 
 
 LEX_LEAST = CanonicalPolicy()
@@ -216,9 +227,14 @@ class PresentationClass:
     @classmethod
     def from_canonical(cls, word: SignedWord) -> "PresentationClass":
         """The class with ``word`` canonical; its involution ``anti`` needs no check."""
+        return cls._of_fiber(word, word.involution())
+
+    @classmethod
+    def _of_fiber(cls, canonical: SignedWord, anti: SignedWord) -> "PresentationClass":
+        """The class of ``canonical`` and ``anti``, already its involution."""
         fiber = object.__new__(cls)
-        object.__setattr__(fiber, "canonical", word)
-        object.__setattr__(fiber, "anti", word.involution())
+        object.__setattr__(fiber, "canonical", canonical)
+        object.__setattr__(fiber, "anti", anti)
         return fiber
 
     @property
@@ -247,14 +263,15 @@ class PresentationClass:
 
 def class_of(word: SignedWord, policy: CanonicalPolicy = LEX_LEAST) -> PresentationClass:
     """Presentation class of ``word`` with the policy-chosen canonical member."""
-    return PresentationClass.from_canonical(policy.choose(word))
+    return PresentationClass._of_fiber(*policy._order(word, word.involution()))
 
 
 def pair(a: PresentationClass, sigma: Sign, tau: Sign, b: PresentationClass) -> SignedWord:
     """Connected-sum presentation: ``a`` at sign ``sigma`` then ``b`` at ``-tau``."""
     _check_sign(sigma)
     _check_sign(tau)
-    return a.signed_form(sigma).concat(b.signed_form(-tau))
+    left = a.canonical if sigma > 0 else a.anti
+    return left.concat(b.anti if tau > 0 else b.canonical)
 
 
 def check_commutation_law(
@@ -266,11 +283,8 @@ def check_commutation_law(
 
 def words_of_length(gens: GeneratorSet, length: int) -> Iterator[SignedWord]:
     """All words of exactly ``length`` letters, in deterministic order."""
-    alphabet = [
-        SignedLetter(i, s) for i in range(len(gens)) for s in (PLUS, MINUS)
-    ]
-    for combo in itertools.product(alphabet, repeat=length):
-        yield SignedWord(gens, combo)
+    for codes in itertools.product(range(2 * len(gens)), repeat=length):
+        yield SignedWord._of_codes(gens, codes)
 
 
 def iter_words(gens: GeneratorSet, max_length: int) -> Iterator[SignedWord]:
@@ -281,8 +295,8 @@ def iter_words(gens: GeneratorSet, max_length: int) -> Iterator[SignedWord]:
 
 def format_word(word: SignedWord) -> str:
     """Render as ``a+ b-``; the empty word renders as the empty string."""
-    names = word.gens.names
-    return " ".join(f"{names[l.gen]}{sign_char(l.sign)}" for l in word.letters)
+    tokens = [name + sign for name in word.gens.names for sign in "+-"]
+    return " ".join([tokens[c] for c in word.codes])
 
 
 def parse_word(text: str, gens: GeneratorSet, *, line: int = 1) -> SignedWord:
@@ -290,7 +304,7 @@ def parse_word(text: str, gens: GeneratorSet, *, line: int = 1) -> SignedWord:
 
     The empty (or all-whitespace) string parses to the empty word.
     """
-    letters: list[SignedLetter] = []
+    codes: list[int] = []
     for match in re.finditer(r"\S+", text):
         token = match.group()
         column = match.start() + 1
@@ -303,5 +317,5 @@ def parse_word(text: str, gens: GeneratorSet, *, line: int = 1) -> SignedWord:
                 expected=("'<name>+'", "'<name>-'"),
             )
         gen = gens.index(m.group(1), line=line, column=column)
-        letters.append(SignedLetter(gen, _SIGN_FROM_CHAR[m.group(2)]))
-    return SignedWord(gens, tuple(letters))
+        codes.append(2 * gen + (m.group(2) == "-"))
+    return SignedWord._of_codes(gens, tuple(codes))

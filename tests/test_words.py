@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagcalc import words
+from flagcalc.abelian import abelianize, multiset_quotient
 from flagcalc.errors import DomainError, ParseError, UnknownGeneratorError
 from flagcalc.words import (
     LEX_LEAST,
@@ -33,6 +35,20 @@ letters = st.builds(SignedLetter, st.integers(min_value=0, max_value=2), signs)
 signed_words = st.builds(
     lambda ls: SignedWord(GENS, tuple(ls)), st.lists(letters, max_size=6)
 )
+
+
+# Words over the first one to three of a, b, c, with the letters they were built from.
+gens_and_letters = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(
+        st.just(GeneratorSet(("a", "b", "c")[:n])),
+        st.lists(st.builds(SignedLetter, st.integers(0, n - 1), signs), max_size=8),
+    )
+)
+
+
+def old_lex_key(word: SignedWord) -> tuple[tuple[int, int], ...]:
+    """Letter order as pairs: generator index ascending, then + before -."""
+    return tuple((l.gen, 0 if l.sign > 0 else 1) for l in word.letters)
 
 
 class TestGeneratorSet:
@@ -117,6 +133,14 @@ class TestInvolution:
             assert derived == SignedWord(GENS, derived.letters)
             assert all(type(letter) is SignedLetter for letter in derived.letters)
 
+    @given(gens_and_letters)
+    def test_involution_reverses_and_negates_the_letters(self, case):
+        gens, ls = case
+        word = SignedWord(gens, ls)
+        assert word.letters == tuple(ls)
+        expected = tuple(SignedLetter(l.gen, -l.sign) for l in reversed(ls))
+        assert word.involution().letters == expected
+
     def test_concat_requires_matching_generators(self):
         other = GeneratorSet.of("a")
         with pytest.raises(DomainError):
@@ -163,6 +187,64 @@ class TestPresentationClass:
         assert cls.signed_form(MINUS) == w("b- a-")
 
 
+class TestLetterCodes:
+    """Readers of letter codes agree with references written on letters."""
+
+    @given(gens_and_letters)
+    def test_code_order_is_the_letter_order(self, case):
+        gens, ls = case
+        word = SignedWord(gens, ls)
+        anti = word.involution()
+        assert (word.codes < anti.codes) == (old_lex_key(word) < old_lex_key(anti))
+        assert class_of(word).canonical == min(word, anti, key=old_lex_key)
+
+    @given(gens_and_letters)
+    def test_format_word_matches_letter_rendering(self, case):
+        gens, ls = case
+        expected = " ".join(gens.names[l.gen] + ("+" if l.sign > 0 else "-") for l in ls)
+        assert format_word(SignedWord(gens, ls)) == expected
+
+    @given(gens_and_letters)
+    def test_abelian_shadows_match_letter_counts(self, case):
+        gens, ls = case
+        word = SignedWord(gens, ls)
+        ms = multiset_quotient(word)
+        for i in range(len(gens)):
+            assert ms.plus[i] == sum(1 for l in ls if l.gen == i and l.sign > 0)
+            assert ms.minus[i] == sum(1 for l in ls if l.gen == i and l.sign < 0)
+        expected = tuple(sum(l.sign for l in ls if l.gen == i) for i in range(len(gens)))
+        assert abelianize(word).coords == expected
+
+    @given(gens_and_letters)
+    def test_class_of_matches_the_checked_constructor(self, case):
+        gens, ls = case
+        word = SignedWord(gens, ls)
+        anti = word.involution()
+        explicit = CanonicalPolicy("explicit", {word: anti})
+        for policy in (LEX_LEAST, explicit):
+            cls = class_of(word, policy)
+            assert PresentationClass(cls.canonical, cls.anti) == cls
+            assert {cls.canonical, cls.anti} == {word, anti}
+        assert class_of(word, explicit).canonical == anti
+
+    @pytest.mark.parametrize("text", ["a+ b-", "a+ a-", ""])
+    def test_class_of_makes_one_involution(self, monkeypatch, text):
+        word = w(text)
+        policy = CanonicalPolicy("explicit", {word.involution(): word})
+        calls = []
+        original = SignedWord.involution
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SignedWord, "involution", counted)
+        for chosen in (LEX_LEAST, policy):
+            calls.clear()
+            class_of(word, chosen)
+            assert calls == [word]
+
+
 class TestCanonicalPolicy:
     def test_explicit_choice_wins_over_lex(self):
         policy = CanonicalPolicy("explicit", {w("b- a-"): w("b- a-")})
@@ -200,6 +282,21 @@ class TestPair:
         right = class_of(w("c+"))
         assert pair(left, PLUS, MINUS, right) == w("a+ b+ c+")
         assert pair(left, MINUS, MINUS, right) == w("b- a- c+")
+
+    def test_checks_each_sign_once(self, monkeypatch):
+        a, b = class_of(w("a+")), class_of(w("b+"))
+        checked = []
+        original = words._check_sign
+
+        def counted(sign):
+            checked.append(sign)
+            original(sign)
+
+        monkeypatch.setattr(words, "_check_sign", counted)
+        pair(a, PLUS, MINUS, b)
+        assert checked == [PLUS, MINUS]
+        with pytest.raises(DomainError, match="sign must be \\+1 or -1, got 0"):
+            pair(a, PLUS, 0, b)
 
     @given(signed_words, signs, signs, signed_words)
     def test_commutation_law(self, u, sigma, tau, v):
