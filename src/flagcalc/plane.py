@@ -7,6 +7,12 @@ intersections with the downward vertical ray under each puncture, connected
 sums by rerouting both loops through a shared base point along a
 there-and-back corridor.
 
+A crossing word is a :class:`~flagcalc.words.SignedWord` over the plane's
+generators ``x1 ... xk``, one per puncture.  The raw sequence of ray
+crossings lives in the monoid of signed words; free reduction
+(:func:`flagcalc.words.free_reduce`) is the map from that monoid to the
+plane's fundamental group pi_1, and a crossing word is its reduced image.
+
 Coordinates are rational, but the predicates run on integers.  A loop
 carries its vertices as integer pairs over their least common denominator,
 computed once when it is built from points.  The loops that flag moves and
@@ -42,7 +48,7 @@ from .errors import (
     RayDegeneracyError,
     RerouteError,
 )
-from .words import Sign, _check_sign
+from .words import GeneratorSet, Sign, SignedWord, _check_sign, free_reduce
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,12 @@ class PuncturedPlane:
     """Finitely many punctures with pairwise distinct x-coordinates.
 
     Distinct x-coordinates keep the downward vertical rays disjoint, which
-    the crossing-word algorithm relies on.
+    the crossing-word algorithm relies on.  ``gens`` names the crossing
+    words' generators ``x1 ... xk``, one per puncture in order.
     """
 
     punctures: tuple[Point, ...]
+    gens: GeneratorSet = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.punctures:
@@ -149,6 +157,8 @@ class PuncturedPlane:
             raise DomainError("punctures must be pairwise distinct")
         if len(set(xs)) != len(xs):
             raise DomainError("punctures must have pairwise distinct x-coordinates")
+        names = tuple(f"x{j + 1}" for j in range(len(self.punctures)))
+        object.__setattr__(self, "gens", GeneratorSet(names))
 
 
 # The ``oracle`` suite's plane, and ``oracle sweep``'s when none is loaded.
@@ -428,64 +438,15 @@ def connected_sum_auto(
     raise RerouteError("no usable base point among the candidates")
 
 
-def free_reduce(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Cancel adjacent inverse pairs until none remain."""
-    out: list[tuple[int, int]] = []
-    for idx, exp in letters:
-        if out and out[-1][0] == idx and out[-1][1] == -exp:
-            out.pop()
-        else:
-            out.append((idx, exp))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class FreeWord:
-    """Freely reduced word in one symbol per puncture; stored as (index, +-1)."""
-
-    letters: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        for idx, exp in self.letters:
-            if idx < 0:
-                raise DomainError("puncture index must be nonnegative")
-            if exp not in (1, -1):
-                raise DomainError("free-word exponents must be +1 or -1")
-        if self.letters != free_reduce(self.letters):
-            raise DomainError("free word is not freely reduced")
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if not isinstance(other, FreeWord):
-            return NotImplemented
-        return FreeWord(free_reduce(self.letters + other.letters))
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((idx, -exp) for idx, exp in reversed(self.letters)))
-
-    def exponent_sums(self, n_punctures: int) -> tuple[int, ...]:
-        sums = [0] * n_punctures
-        for idx, exp in self.letters:
-            if idx >= n_punctures:
-                raise DomainError("letter index exceeds puncture count")
-            sums[idx] += exp
-        return tuple(sums)
-
-    def __str__(self) -> str:
-        return format_free_word(self)
-
-
-def crossing_word(loop: FlaggedLoop, plane: PuncturedPlane) -> FreeWord:
+def crossing_word(loop: FlaggedLoop, plane: PuncturedPlane) -> SignedWord:
     """Reduced crossing word against the downward rays under the punctures.
 
     Walking from the flag in traversal order, each transversal crossing of
-    puncture ``j``'s downward vertical ray contributes ``x_j`` when passing
-    left-to-right (the counterclockwise sense) and ``x_j^-1`` right-to-left.
-    A vertex sitting exactly on a ray makes the crossing ill-defined, which
-    raises :class:`RayDegeneracyError`; nudge the vertex and retry.
+    puncture ``j``'s downward vertical ray contributes ``x_j+`` when passing
+    left-to-right (the counterclockwise sense) and ``x_j-`` right-to-left.
+    The word is over ``plane.gens`` and freely reduced.  A vertex sitting
+    exactly on a ray makes the crossing ill-defined, which raises
+    :class:`RayDegeneracyError`; nudge the vertex and retry.
     """
     _, vertices, punctures = _over_one_den(loop, plane.punctures)
     _check_avoids(vertices, punctures)
@@ -496,21 +457,22 @@ def crossing_word(loop: FlaggedLoop, plane: PuncturedPlane) -> FreeWord:
                     f"vertex {i} lies on the downward ray of puncture {j + 1}; "
                     "perturb the loop"
                 )
-    letters: list[tuple[int, int]] = []
+    codes: list[int] = []
     for a, b in _edges(_walk(vertices, loop.flag_vertex, loop.traversal)):
         dx = b[0] - a[0]
-        hits: list[tuple[int, int, int]] = []
+        hits: list[tuple[int, int]] = []
         for j, p in enumerate(punctures):
             da = a[0] - p[0]
             db = b[0] - p[0]
             # The edge meets the vertical through p at t = (p.x - a.x) / dx,
             # below p exactly when _cross(a, b, p) has the sign of dx.
             if ((da < 0 < db) or (db < 0 < da)) and _cross(a, b, p) * dx > 0:
-                # t * dx^2 orders an edge's hits as t does, with no division.
-                hits.append(((p[0] - a[0]) * dx, j, 1 if da < 0 else -1))
+                # t * dx^2 orders an edge's hits as t does, with no division;
+                # distinct puncture x-coordinates keep the t values distinct.
+                hits.append(((p[0] - a[0]) * dx, 2 * j + (da > 0)))
         hits.sort()
-        letters.extend((j, exp) for _, j, exp in hits)
-    return FreeWord(free_reduce(letters))
+        codes.extend(code for _, code in hits)
+    return free_reduce(SignedWord._of_codes(plane.gens, tuple(codes)))
 
 
 # --- seeded sampling -------------------------------------------------------
@@ -723,8 +685,7 @@ def parse_plane_file(text: str) -> tuple[PuncturedPlane, list[FlaggedLoop]]:
     return plane, loops
 
 
-def format_free_word(word: FreeWord) -> str:
-    """Render as ``x1 x2^-1``; the identity renders as the empty string."""
-    return " ".join(
-        f"x{idx + 1}" + ("" if exp > 0 else "^-1") for idx, exp in word.letters
-    )
+def format_free_word(word: SignedWord) -> str:
+    """Render as ``x1 x2^-1``; the empty word renders as the empty string."""
+    tokens = [name + power for name in word.gens.names for power in ("", "^-1")]
+    return " ".join([tokens[c] for c in word.codes])

@@ -344,7 +344,12 @@ def verify_group_law(
 
 
 def oracle_suite() -> SuiteResult:
-    """Exact-geometry sweeps: group law, signed addition, crossing words."""
+    """Exact-geometry sweeps: group law, signed addition, crossing words.
+
+    A crossing word must be the reduced product of its summands' words, sum
+    to the winding numbers, and turn into its involution when the loop's
+    traversal is reversed.
+    """
     result = SuiteResult("oracle")
     one = plane.ORIGIN_PLANE
     for law in verify_group_law(one, samples=50, seed=_SEED):
@@ -376,15 +381,23 @@ def oracle_suite() -> SuiteResult:
         n1 = plane.normalize_flag(l1, base, two)
         n2 = plane.normalize_flag(l2, base, two)
         summed = plane.connected_sum(l1, PLUS, MINUS, l2, base, two)
+        word = plane.crossing_word(summed, two)
+        product = plane.crossing_word(n1, two).concat(plane.crossing_word(n2, two))
         result.tick(
-            plane.crossing_word(summed, two)
-            == plane.crossing_word(n1, two) * plane.crossing_word(n2, two),
+            word == words.free_reduce(product),
             f"crossing word of pair {i} is not the reduced product",
         )
         result.tick(
-            plane.crossing_word(summed, two).exponent_sums(2)
-            == plane.winding_profile(summed, two),
+            abelian.abelianize(word).coords == plane.winding_profile(summed, two),
             f"crossing exponents disagree with windings on pair {i}",
+        )
+    for i, loop in enumerate(pairs):
+        back = "B" if loop.traversal == "F" else "F"
+        reverse = plane.FlaggedLoop(loop.vertices, loop.flag_vertex, back)
+        result.tick(
+            plane.crossing_word(reverse, two)
+            == plane.crossing_word(loop, two).involution(),
+            f"reversing loop {i} does not invert its crossing word",
         )
     return result
 

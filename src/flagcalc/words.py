@@ -12,6 +12,14 @@ code tuples is the letter order (generator index ascending, then ``+``
 before ``-``).  ``SignedWord(gens, letters)`` takes :class:`SignedLetter`
 pairs and checks them; the ``letters`` property rebuilds them from the codes.
 
+Free reduction (:func:`free_reduce`) cancels adjacent letters ``c+ c-`` and
+``c- c+`` until none remain.  It is the map from this monoid onto the free
+group on the generators: ``SignedWord.__mul__`` is the monoid's
+concatenation, and the free-group product of ``u`` and ``v`` is
+``free_reduce(u.concat(v))``.  On a punctured plane's crossing words
+(:func:`flagcalc.plane.crossing_word`) the free group is the plane's
+fundamental group pi_1.
+
 Connected sums of two classes are computed on chosen presentations via
 :func:`pair` and satisfy a commutation law checked by
 :func:`check_commutation_law`:  ``pair(a, s, t, b)`` and ``pair(b, t, s, a)``
@@ -166,6 +174,21 @@ class SignedWord:
         return SignedWord._of_codes(self.gens, tuple(c ^ 1 for c in reversed(self.codes)))
 
 
+def free_reduce(word: SignedWord) -> SignedWord:
+    """``word`` with adjacent inverse letters cancelled until none remain.
+
+    A code ``c`` cancels a preceding ``c ^ 1``, the same generator with the
+    opposite sign (Lyndon & Schupp 1977, *Combinatorial Group Theory*, ch. I).
+    """
+    out: list[int] = []
+    for c in word.codes:
+        if out and out[-1] == c ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    return SignedWord._of_codes(word.gens, tuple(out))
+
+
 @dataclass(frozen=True)
 class CanonicalPolicy:
     """Rule selecting the canonical member of a ``{w, involution(w)}`` fiber.
@@ -186,9 +209,6 @@ class CanonicalPolicy:
                 raise DomainError(
                     f"override for {str(key)!r} must pick the word or its involution"
                 )
-
-    def choose(self, word: SignedWord) -> SignedWord:
-        return self._order(word, word.involution())[0]
 
     def _order(
         self, word: SignedWord, anti: SignedWord
@@ -240,11 +260,6 @@ class PresentationClass:
     @property
     def is_degenerate(self) -> bool:
         return self.canonical == self.anti
-
-    def signed_form(self, sign: Sign) -> SignedWord:
-        """Canonical presentation for ``+``, anti presentation for ``-``."""
-        _check_sign(sign)
-        return self.canonical if sign > 0 else self.anti
 
     def members(self) -> frozenset[SignedWord]:
         return frozenset((self.canonical, self.anti))

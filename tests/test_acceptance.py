@@ -28,7 +28,7 @@ CRITERIA = {
     "assoc": 27,
     "monoid": 516,
     "homology": 24_116,
-    "oracle": 550,
+    "oracle": 650,
 }
 
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flagcalc.abelian import abelianize
 from flagcalc.errors import DomainError, ParseError, RayDegeneracyError, RerouteError
 from flagcalc.plane import (
     DEFAULT_BASE_POINTS,
     FlaggedLoop,
-    FreeWord,
     Point,
     PuncturedPlane,
     _detour_point,
@@ -23,7 +23,6 @@ from flagcalc.plane import (
     format_free_word,
     format_loop_literal,
     format_point,
-    free_reduce,
     normalize_flag,
     parse_loop_literal,
     parse_plane_file,
@@ -31,6 +30,7 @@ from flagcalc.plane import (
     winding_number,
     winding_profile,
 )
+from flagcalc.words import MINUS, PLUS, SignedLetter, SignedWord, free_reduce
 
 ORIGIN = Point.of(0, 0)
 ONE_PUNCTURE = PuncturedPlane((ORIGIN,))
@@ -89,6 +89,12 @@ class TestPuncturedPlane:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             PuncturedPlane(())
+
+    def test_gens_name_one_letter_per_puncture(self):
+        assert TWO_PUNCTURES.gens.names == ("x1", "x2")
+        assert repr(ONE_PUNCTURE) == f"PuncturedPlane(punctures={(ORIGIN,)!r})"
+        copy = pickle.loads(pickle.dumps(TWO_PUNCTURES))
+        assert copy == TWO_PUNCTURES and copy.gens == TWO_PUNCTURES.gens
 
 
 class TestFlaggedLoop:
@@ -231,7 +237,7 @@ class TestCrossingWord:
     def test_square_crossings(self):
         assert format_free_word(crossing_word(CCW_SQUARE, ONE_PUNCTURE)) == "x1"
         assert format_free_word(crossing_word(CW_SQUARE, ONE_PUNCTURE)) == "x1^-1"
-        assert crossing_word(FAR_SQUARE, ONE_PUNCTURE).is_identity
+        assert crossing_word(FAR_SQUARE, ONE_PUNCTURE).codes == ()
 
     def test_second_puncture_uses_its_own_letter(self):
         loop = TestConnectedSum.L2
@@ -244,10 +250,10 @@ class TestCrossingWord:
         with pytest.raises(RayDegeneracyError):
             crossing_word(loop, ONE_PUNCTURE)
 
-    def test_exponent_sums_match_windings(self):
+    def test_abelianization_matches_windings(self):
         for loop in sample_loops(TWO_PUNCTURES, 30, seed=21):
             word = crossing_word(loop, TWO_PUNCTURES)
-            assert word.exponent_sums(2) == winding_profile(loop, TWO_PUNCTURES)
+            assert abelianize(word).coords == winding_profile(loop, TWO_PUNCTURES)
 
     def test_product_law_for_normalized_loops(self):
         loops = sample_loops(TWO_PUNCTURES, 30, seed=13)
@@ -256,50 +262,18 @@ class TestCrossingWord:
             n1 = normalize_flag(loops[2 * i], base, TWO_PUNCTURES)
             n2 = normalize_flag(loops[2 * i + 1], base, TWO_PUNCTURES)
             total = connected_sum(n1, 1, -1, n2, base, TWO_PUNCTURES)
-            product = crossing_word(n1, TWO_PUNCTURES) * crossing_word(
-                n2, TWO_PUNCTURES
+            product = crossing_word(n1, TWO_PUNCTURES).concat(
+                crossing_word(n2, TWO_PUNCTURES)
             )
-            assert crossing_word(total, TWO_PUNCTURES) == product
-
-
-class TestFreeWord:
-    def test_reduction(self):
-        assert free_reduce([(0, 1), (0, -1)]) == ()
-        assert free_reduce([(0, 1), (1, 1), (1, -1), (0, 1)]) == ((0, 1), (0, 1))
-
-    def test_rejects_unreduced(self):
-        with pytest.raises(DomainError):
-            FreeWord(((0, 1), (0, -1)))
-        with pytest.raises(DomainError):
-            FreeWord(((0, 0),))
-        with pytest.raises(DomainError):
-            FreeWord(((0, 2),))
-
-    def test_group_identities(self):
-        x = FreeWord(free_reduce([(0, 1), (1, -1), (1, -1)]))
-        assert (x * x.inverse()).is_identity
-        assert x.inverse().inverse() == x
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=8
-        ),
-        st.lists(
-            st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=8
-        ),
-    )
-    def test_product_exponents_add(self, xs, ys):
-        u = FreeWord(free_reduce(xs))
-        v = FreeWord(free_reduce(ys))
-        sums = tuple(
-            a + b for a, b in zip(u.exponent_sums(2), v.exponent_sums(2))
-        )
-        assert (u * v).exponent_sums(2) == sums
+            assert crossing_word(total, TWO_PUNCTURES) == free_reduce(product)
 
     def test_format(self):
-        word = FreeWord(free_reduce([(0, 1), (0, 1), (1, -1)]))
+        gens = TWO_PUNCTURES.gens
+        word = SignedWord(
+            gens, (SignedLetter(0, PLUS), SignedLetter(0, PLUS), SignedLetter(1, MINUS))
+        )
         assert format_free_word(word) == "x1 x1 x2^-1"
-        assert format_free_word(FreeWord()) == ""
+        assert format_free_word(SignedWord.empty(gens)) == ""
 
 
 class TestSampling:
@@ -516,7 +490,7 @@ class TestExactPredicates:
                 crossing_word(loop, plane)
         else:
             word = crossing_word(loop, plane)
-            assert word.exponent_sums(len(plane.punctures)) == tuple(
+            assert abelianize(word).coords == tuple(
                 angle_sum_winding(loop, p) for p in plane.punctures
             )
 

@@ -87,7 +87,7 @@ class TestGroupLawOracle:
         out, code = script_output("check oracle\n")
         lines = out.splitlines()
         assert code == 1
-        assert re.fullmatch(r"oracle: FAIL \(\d+ failures / 550 checks\)", lines[0])
+        assert re.fullmatch(r"oracle: FAIL \(\d+ failures / 650 checks\)", lines[0])
         assert lines[1:] == [
             "  group law [addition]: loops 0,1: 1 != 1+1",
             "  group law [addition]: loops 1,2: 1 != 1+1",

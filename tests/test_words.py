@@ -17,6 +17,7 @@ from flagcalc.words import (
     check_commutation_law,
     class_of,
     format_word,
+    free_reduce,
     iter_words,
     pair,
     parse_word,
@@ -43,6 +44,13 @@ gens_and_letters = st.integers(min_value=1, max_value=3).flatmap(
         st.just(GeneratorSet(("a", "b", "c")[:n])),
         st.lists(st.builds(SignedLetter, st.integers(0, n - 1), signs), max_size=8),
     )
+)
+
+# Words over a and b alone, long enough that adjacent inverse pairs are common.
+AB = GeneratorSet.of("a", "b")
+ab_words = st.builds(
+    lambda ls: SignedWord(AB, tuple(ls)),
+    st.lists(st.builds(SignedLetter, st.integers(0, 1), signs), max_size=10),
 )
 
 
@@ -183,8 +191,8 @@ class TestPresentationClass:
 
     def test_signed_form_selects_member(self):
         cls = class_of(w("b- a-"))
-        assert cls.signed_form(PLUS) == w("a+ b+")
-        assert cls.signed_form(MINUS) == w("b- a-")
+        assert cls.canonical == w("a+ b+")
+        assert cls.anti == w("b- a-")
 
 
 class TestLetterCodes:
@@ -245,6 +253,43 @@ class TestLetterCodes:
             assert calls == [word]
 
 
+class TestFreeReduce:
+    def test_reduction(self):
+        assert free_reduce(w("a+ a-")) == SignedWord.empty(GENS)
+        assert free_reduce(w("a+ b+ b- a+")) == w("a+ a+")
+        assert free_reduce(w("a+ b- b- c+ c- b+ a-")) == w("a+ b- a-")
+
+    @given(ab_words)
+    def test_is_idempotent(self, word):
+        reduced = free_reduce(word)
+        assert free_reduce(reduced) == reduced
+
+    @given(ab_words)
+    def test_leaves_no_inverse_pair(self, word):
+        codes = free_reduce(word).codes
+        assert all(c != d ^ 1 for c, d in zip(codes, codes[1:]))
+
+    @given(ab_words)
+    def test_group_identities(self, word):
+        assert free_reduce(word.concat(word.involution())).codes == ()
+        assert free_reduce(word.involution().concat(word)).codes == ()
+
+    @given(ab_words)
+    def test_abelianization_is_invariant(self, word):
+        assert abelianize(free_reduce(word)) == abelianize(word)
+
+    @given(ab_words, ab_words)
+    def test_product_exponents_add(self, u, v):
+        product = free_reduce(free_reduce(u).concat(free_reduce(v)))
+        assert abelianize(product) == abelianize(u) + abelianize(v)
+
+    @given(ab_words, ab_words)
+    def test_reduction_respects_products(self, u, v):
+        assert free_reduce(u.concat(v)) == free_reduce(
+            free_reduce(u).concat(free_reduce(v))
+        )
+
+
 class TestCanonicalPolicy:
     def test_explicit_choice_wins_over_lex(self):
         policy = CanonicalPolicy("explicit", {w("b- a-"): w("b- a-")})
@@ -259,7 +304,8 @@ class TestCanonicalPolicy:
             CanonicalPolicy("explicit", {w("a+"): w("b+")})
 
     def test_default_policy_is_lex_least(self):
-        assert LEX_LEAST.choose(w("b- a-")) == w("a+ b+")
+        assert class_of(w("b- a-"), LEX_LEAST).canonical == w("a+ b+")
+        assert class_of(w("b- a-")).canonical == w("a+ b+")
 
 
 class TestPair:
