@@ -125,7 +125,7 @@ def _first_nonzero(row: list[int]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationLattice:
     """Integer row lattice in Z^dim, given by (possibly dependent) rows."""
 
@@ -201,6 +201,15 @@ class RelationLattice:
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
         return self._echelon[0]
+
+    def __eq__(self, other: object) -> bool:
+        """Equal as lattices, ``(dim, basis)``, whatever rows present them."""
+        if not isinstance(other, RelationLattice):
+            return NotImplemented
+        return self.dim == other.dim and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.basis))
 
     def reduce(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical coset representative of ``coords`` modulo the lattice."""

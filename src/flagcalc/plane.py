@@ -161,7 +161,7 @@ class PuncturedPlane:
         object.__setattr__(self, "gens", GeneratorSet(names))
 
 
-# The ``oracle`` suite's plane, and ``oracle sweep``'s when none is loaded.
+# The ``oracle`` suite's one-puncture plane, and ``oracle sweep``'s when none is loaded.
 ORIGIN_PLANE = PuncturedPlane((Point.of(0, 0),))
 
 
@@ -246,10 +246,6 @@ class FlaggedLoop:
             )
         return self._vertices
 
-    def directed_vertices(self) -> tuple[Point, ...]:
-        """Vertices starting at the flag, following the traversal direction."""
-        return _walk(self.vertices, self.flag_vertex, self.traversal)
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__qualname__}(vertices={self.vertices!r}, "
@@ -311,7 +307,8 @@ def winding_number(loop: FlaggedLoop, puncture: Point) -> int:
 
 def winding_profile(loop: FlaggedLoop, plane: PuncturedPlane) -> tuple[int, ...]:
     """Winding number around each puncture, in puncture order."""
-    return tuple(winding_number(loop, p) for p in plane.punctures)
+    # A list: tuple() of a generator fills CPython's tuple free list (see _times).
+    return tuple([winding_number(loop, p) for p in plane.punctures])
 
 
 # Fractions ``t`` of the way from the flag to the base, as (numerator, denominator).
@@ -438,6 +435,22 @@ def connected_sum_auto(
     raise RerouteError("no usable base point among the candidates")
 
 
+def _crossable(
+    loop: FlaggedLoop, plane: PuncturedPlane
+) -> tuple[list[_IntPoint], list[_IntPoint]]:
+    """``loop`` and the punctures over one denominator; raises unless it has a word."""
+    _, vertices, punctures = _over_one_den(loop, plane.punctures)
+    _check_avoids(vertices, punctures)
+    for i, v in enumerate(vertices):
+        for j, p in enumerate(punctures):
+            if v[0] == p[0] and v[1] < p[1]:
+                raise RayDegeneracyError(
+                    f"vertex {i} lies on the downward ray of puncture {j + 1}; "
+                    "perturb the loop"
+                )
+    return vertices, punctures
+
+
 def crossing_word(loop: FlaggedLoop, plane: PuncturedPlane) -> SignedWord:
     """Reduced crossing word against the downward rays under the punctures.
 
@@ -448,15 +461,7 @@ def crossing_word(loop: FlaggedLoop, plane: PuncturedPlane) -> SignedWord:
     exactly on a ray makes the crossing ill-defined, which raises
     :class:`RayDegeneracyError`; nudge the vertex and retry.
     """
-    _, vertices, punctures = _over_one_den(loop, plane.punctures)
-    _check_avoids(vertices, punctures)
-    for i, v in enumerate(vertices):
-        for j, p in enumerate(punctures):
-            if v[0] == p[0] and v[1] < p[1]:
-                raise RayDegeneracyError(
-                    f"vertex {i} lies on the downward ray of puncture {j + 1}; "
-                    "perturb the loop"
-                )
+    vertices, punctures = _crossable(loop, plane)
     codes: list[int] = []
     for a, b in _edges(_walk(vertices, loop.flag_vertex, loop.traversal)):
         dx = b[0] - a[0]
@@ -549,7 +554,7 @@ def sample_loop(rng: random.Random, plane: PuncturedPlane) -> FlaggedLoop:
         traversal = "F" if rng.randint(0, 1) == 0 else "B"
         loop = FlaggedLoop(vertices, flag, traversal)
         try:
-            crossing_word(loop, plane)
+            _crossable(loop, plane)
         except DomainError:
             continue
         return loop

@@ -28,7 +28,7 @@ CRITERIA = {
     "assoc": 27,
     "monoid": 516,
     "homology": 24_116,
-    "oracle": 650,
+    "oracle": 900,
 }
 
 

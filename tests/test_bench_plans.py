@@ -1,7 +1,9 @@
-"""One round of the benchmark's ``session`` and ``oracle-sweep`` plans, in-process.
+"""One round of each benchmark plan, in-process.
 
 The session plan drives ``load``, ``save``, ``lattice load`` and ``plane
-load``, so a benchmark operation that starts failing shows here first.
+load``, and the check-all plan holds every suite's check count to the
+benchmark's own minimums, so a benchmark operation that starts failing shows
+here first.
 """
 
 import importlib.util
@@ -27,7 +29,7 @@ def bench_run():
         yield run
 
 
-@pytest.mark.parametrize("workload", ["session", "oracle-sweep"])
+@pytest.mark.parametrize("workload", ["session", "oracle-sweep", "check-all"])
 def test_one_round_is_correct(bench_run, tmp_path, workload):
     plan = bench_run.workloads.PLANS[workload](1, tmp_path)
     phase = bench_run.run_phase(flagcalc, plan, None, rounds=1)

@@ -190,6 +190,21 @@ class TestGeometryCommands:
         assert out.splitlines()[0] == "oracle sweep: samples=4 seed=2"
         assert out.splitlines()[-1] == "result: PASS"
 
+    def test_oracle_sweep_runs_on_the_loaded_plane(self):
+        out, err, code = script_output(
+            f"plane load {DATA / 'loops.plane'}\noracle sweep --samples 5 --seed 1\n"
+        )
+        assert (err, code) == ("", 0)
+        lines = out.splitlines()
+        assert lines[3:] == [
+            "oracle sweep: samples=5 seed=1",
+            "addition: PASS (5 cases)",
+            "identity: PASS (10 cases)",
+            "inverse: PASS (5 cases)",
+            "associativity: PASS (5 cases)",
+            "result: PASS",
+        ]
+
     def test_oracle_sweep_samples_are_capped(self):
         line = f"oracle sweep --samples {MAX_SWEEP_SAMPLES + 1} --seed 2"
         _, out, err, code = run(Session(), line)

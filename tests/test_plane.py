@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,11 @@ from flagcalc.plane import (
     FlaggedLoop,
     Point,
     PuncturedPlane,
+    _bounding_box_vertices,
     _detour_point,
+    _offset_square_vertices,
+    _spiral_vertices,
+    _walk,
     connected_sum,
     connected_sum_auto,
     crossing_word,
@@ -56,7 +61,7 @@ GOLDEN_PLANE = PuncturedPlane(
 
 def edges(loop: FlaggedLoop):
     """The loop's directed edges, from the flag in traversal order."""
-    walk = loop.directed_vertices()
+    walk = _walk(loop.vertices, loop.flag_vertex, loop.traversal)
     return zip(walk, walk[1:] + walk[:1])
 
 
@@ -114,16 +119,17 @@ class TestFlaggedLoop:
         with pytest.raises(DomainError):
             FlaggedLoop((ORIGIN, ORIGIN, Point.of(1, 1)), 0)
 
-    def test_directed_vertices_rotate_to_flag(self):
+    def test_walk_rotates_to_flag(self):
         loop = FlaggedLoop(CCW_SQUARE.vertices, 2)
-        walk = loop.directed_vertices()
+        walk = _walk(loop.vertices, loop.flag_vertex, loop.traversal)
         assert walk[0] == Point.of(-1, 1)
         assert len(walk) == 4
 
     def test_backward_traversal_keeps_flag_first(self):
         loop = FlaggedLoop(CCW_SQUARE.vertices, 1, "B")
         v = CCW_SQUARE.vertices
-        assert loop.directed_vertices() == (v[1], v[0], v[3], v[2])
+        walk = _walk(loop.vertices, loop.flag_vertex, loop.traversal)
+        assert walk == (v[1], v[0], v[3], v[2])
 
     def test_is_frozen_and_pickles_by_value(self):
         loop = FlaggedLoop(CCW_SQUARE.vertices, 2, "B")
@@ -265,7 +271,9 @@ class TestCrossingWord:
             product = crossing_word(n1, TWO_PUNCTURES).concat(
                 crossing_word(n2, TWO_PUNCTURES)
             )
-            assert crossing_word(total, TWO_PUNCTURES) == free_reduce(product)
+            word = crossing_word(total, TWO_PUNCTURES)
+            assert word == free_reduce(product)
+            assert abelianize(word).coords == winding_profile(total, TWO_PUNCTURES)
 
     def test_format(self):
         gens = TWO_PUNCTURES.gens
@@ -274,6 +282,40 @@ class TestCrossingWord:
         )
         assert format_free_word(word) == "x1 x1 x2^-1"
         assert format_free_word(SignedWord.empty(gens)) == ""
+
+
+# Punctures close enough that some sampled loops touch one or put a vertex on a
+# downward ray, so sampling has to retry.
+CROWDED_PLANE = PuncturedPlane(
+    (Point.of(0, 0), Point.of(3, 5), Point.of(-2, Fraction(1, 2)))
+)
+
+
+def crossing_word_sample(
+    rng: random.Random, plane: PuncturedPlane, refused: list[str]
+) -> FlaggedLoop:
+    """``sample_loop``'s draws, keeping a loop once ``crossing_word`` reads it.
+
+    The name of each refusal's error class is appended to ``refused``.
+    """
+    k = len(plane.punctures)
+    for _ in range(20):
+        kind = rng.randrange(k + 2 if k > 1 else 2)
+        if kind < k:
+            vertices = _spiral_vertices(rng, plane.punctures[kind])
+        elif kind == k:
+            vertices = _offset_square_vertices(rng, plane.punctures[rng.randrange(k)])
+        else:
+            vertices = _bounding_box_vertices(rng, plane)
+        flag = rng.randrange(len(vertices))
+        loop = FlaggedLoop(vertices, flag, "F" if rng.randint(0, 1) == 0 else "B")
+        try:
+            crossing_word(loop, plane)
+        except DomainError as exc:
+            refused.append(type(exc).__name__)
+            continue
+        return loop
+    raise AssertionError("no loop with a crossing word in 20 draws")
 
 
 class TestSampling:
@@ -286,6 +328,16 @@ class TestSampling:
         for loop in sample_loops(TWO_PUNCTURES, 30, seed=2):
             ensure_avoids(loop, TWO_PUNCTURES)
             crossing_word(loop, TWO_PUNCTURES)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_keeps_the_loops_that_have_crossing_words(self, seed):
+        refused: list[str] = []
+        rng = random.Random(seed)
+        expected = [
+            crossing_word_sample(rng, CROWDED_PLANE, refused) for _ in range(200)
+        ]
+        assert sample_loops(CROWDED_PLANE, 200, seed) == expected
+        assert {"DomainError", "RayDegeneracyError"} <= set(refused)
 
     def test_windings_stay_small(self):
         for loop in sample_loops(ONE_PUNCTURE, 50, seed=17):
@@ -530,7 +582,7 @@ def point_literal(loop: FlaggedLoop) -> str:
 
 def reference_move(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> tuple:
     """The vertices ``normalize_flag`` gives, built from Points and Fractions."""
-    walk = loop.directed_vertices()
+    walk = _walk(loop.vertices, loop.flag_vertex, loop.traversal)
     if walk[0] == base:
         return walk
     return (base,) + walk + (walk[0], reference_detour(walk[0], base, plane))
@@ -559,7 +611,8 @@ class TestDerivedLoops:
             try:
                 moved = normalize_flag(l1, base, plane)
             except RerouteError:
-                assert reference_detour(l1.directed_vertices()[0], base, plane) is None
+                flag = l1.vertices[l1.flag_vertex]
+                assert reference_detour(flag, base, plane) is None
                 continue
             assert moved.vertices == reference_move(l1, base, plane)
             self.check_loop(moved)

@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import re
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -10,8 +11,8 @@ import flagcalc
 from flagcalc import cli, plane
 from flagcalc.abelian import RelationLattice
 from flagcalc.errors import DomainError
-from flagcalc.plane import Point, PuncturedPlane
-from flagcalc.suites import _exact_member, verify_group_law
+from flagcalc.plane import Point, PuncturedPlane, winding_profile
+from flagcalc.suites import _contractible_square, _exact_member, verify_group_law
 
 
 @pytest.mark.parametrize(
@@ -35,6 +36,10 @@ def test_exact_member_agrees_with_the_lattice_when_a_row_is_a_sum():
 
 
 ONE_PUNCTURE = PuncturedPlane((Point.of(0, 0),))
+TWO_PUNCTURES = PuncturedPlane((Point.of(0, 0), Point.of(10, 0)))
+THREE_PUNCTURES = PuncturedPlane(
+    (Point.of(0, 0), Point.of(10, Fraction(1, 3)), Point.of(-10, Fraction(-2, 7)))
+)
 LAWS = ("addition", "identity", "inverse", "associativity")
 
 
@@ -51,10 +56,21 @@ class TestGroupLawOracle:
         assert [law.checks for law in laws] == [10, 20, 10, 10]
         assert all(law.passed and not law.failures for law in laws)
 
-    def test_requires_one_puncture(self):
-        two = PuncturedPlane((Point.of(0, 0), Point.of(10, 0)))
-        with pytest.raises(DomainError):
-            verify_group_law(two, samples=5, seed=0)
+    @pytest.mark.parametrize(
+        "punctured", [TWO_PUNCTURES, THREE_PUNCTURES], ids=["two", "three"]
+    )
+    def test_passes_on_several_punctures(self, punctured):
+        laws = verify_group_law(punctured, samples=20, seed=514)
+        assert [law.checks for law in laws] == [20, 40, 20, 20]
+        assert all(law.passed for law in laws), [law.failures[:3] for law in laws]
+
+    def test_unit_square_winds_zero_below_every_puncture(self):
+        for punctured in (ONE_PUNCTURE, TWO_PUNCTURES, THREE_PUNCTURES):
+            unit = _contractible_square(punctured)
+            assert winding_profile(unit, punctured) == (0,) * len(punctured.punctures)
+        corners = _contractible_square(THREE_PUNCTURES).vertices
+        assert corners[0] == Point.of(17, Fraction(-58, 7))
+        assert _contractible_square(ONE_PUNCTURE).vertices[0] == Point.of(7, -8)
 
     def test_requires_a_sample(self):
         with pytest.raises(DomainError):
@@ -76,22 +92,30 @@ class TestGroupLawOracle:
         ]
         # Six failures, law by law; the first five are printed.
         assert lines[5:] == [
-            "  addition: loops 0,1: 1 != 1+1",
-            "  addition: loops 1,2: 1 != 1+1",
-            "  addition: loops 2,3: 1 != 1+1",
-            "  inverse: loop 0: self-sum wound 1 != 0",
-            "  inverse: loop 1: self-sum wound 1 != 0",
+            "  addition: loops 0,1: (1) != (2)",
+            "  addition: loops 1,2: (1) != (2)",
+            "  addition: loops 2,0: (1) != (2)",
+            "  inverse: loop 0 self-sum: (1) != (0)",
+            "  inverse: loop 1 self-sum: (1) != (0)",
             "result: FAIL",
         ]
+
+        # On two punctures a profile has two entries.
+        loops_plane = Path(__file__).parent / "data" / "loops.plane"
+        out, code = script_output(
+            f"plane load {loops_plane}\noracle sweep --samples 3 --seed 1\n"
+        )
+        assert code == 1
+        assert "  addition: loops 0,1: (1, 1) != (2, 2)" in out.splitlines()
 
         out, code = script_output("check oracle\n")
         lines = out.splitlines()
         assert code == 1
-        assert re.fullmatch(r"oracle: FAIL \(\d+ failures / 650 checks\)", lines[0])
+        assert re.fullmatch(r"oracle: FAIL \(\d+ failures / 900 checks\)", lines[0])
         assert lines[1:] == [
-            "  group law [addition]: loops 0,1: 1 != 1+1",
-            "  group law [addition]: loops 1,2: 1 != 1+1",
-            "  group law [addition]: loops 2,3: 1 != 1+1",
+            "  group law [addition]: loops 0,1: (1) != (2)",
+            "  group law [addition]: loops 1,2: (1) != (2)",
+            "  group law [addition]: loops 2,3: (1) != (2)",
             "some checks failed",
         ]
 
