@@ -39,12 +39,20 @@ class SignedMultiset:
         if any(c < 0 for c in self.plus + self.minus):
             raise DomainError("multiset counts must be nonnegative")
 
+    @classmethod
+    def _of_counts(cls, plus: tuple[int, ...], minus: tuple[int, ...]) -> "SignedMultiset":
+        """The multiset of counts already known to be nonnegative and of one length."""
+        ms = object.__new__(cls)
+        object.__setattr__(ms, "plus", plus)
+        object.__setattr__(ms, "minus", minus)
+        return ms
+
     def __add__(self, other: "SignedMultiset") -> "SignedMultiset":
         if not isinstance(other, SignedMultiset):
             return NotImplemented
         if len(other.plus) != len(self.plus):
             raise DomainError("cannot add multisets of different dimensions")
-        return SignedMultiset(
+        return SignedMultiset._of_counts(
             tuple(a + b for a, b in zip(self.plus, other.plus)),
             tuple(a + b for a, b in zip(self.minus, other.minus)),
         )
@@ -87,7 +95,7 @@ def multiset_quotient(word: SignedWord) -> SignedMultiset:
     counts = [0] * (2 * len(word.gens))
     for code in word.codes:
         counts[code] += 1
-    return SignedMultiset(tuple(counts[0::2]), tuple(counts[1::2]))
+    return SignedMultiset._of_counts(tuple(counts[0::2]), tuple(counts[1::2]))
 
 
 def difference_map(ms: SignedMultiset) -> AbelianVector:

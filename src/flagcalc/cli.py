@@ -400,7 +400,8 @@ def run_command(
     except FlagcalcError as exc:
         return session, None, str(exc), 1
     except RecursionError:
-        # ``orbit`` hashes and rewrites trees recursively, one frame per level.
+        # ``orbit`` rewrites trees recursively, one frame per level, and
+        # ``move_closure`` refuses a tree nested past the recursion limit.
         return session, None, "input nested too deeply for this command", 1
 
 

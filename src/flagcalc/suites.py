@@ -39,10 +39,11 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def tick(self, ok: bool, detail: str) -> None:
+    def tick(self, ok: bool, detail: str, *args: object) -> None:
+        """Count one check; on failure keep ``detail % args``, formatted only then."""
         self.checks += 1
         if not ok:
-            self.failures.append(detail)
+            self.failures.append(detail % args if args else detail)
 
 
 def involution_suite() -> SuiteResult:
@@ -52,16 +53,17 @@ def involution_suite() -> SuiteResult:
     by_length = [list(words.words_of_length(gens, n)) for n in range(5)]
     universe = list(chain.from_iterable(by_length))
     for w in universe:
-        result.tick(w.involution().involution() == w, f"double involution moved {w!r}")
+        result.tick(w.involution().involution() == w, "double involution moved %r", w)
         result.tick(
-            words.class_of(w) == words.class_of(w.involution()),
-            f"fiber of {w!r} split",
+            words.class_of(w) == words.class_of(w.involution()), "fiber of %r split", w
         )
     for u in universe:
         for v in chain.from_iterable(by_length[: 5 - len(u)]):  # len(u) + len(v) <= 4
             result.tick(
                 u.concat(v).involution() == v.involution().concat(u.involution()),
-                f"anti-automorphism failed on {u!r} * {v!r}",
+                "anti-automorphism failed on %r * %r",
+                u,
+                v,
             )
     return result
 
@@ -79,8 +81,11 @@ def laws_suite() -> SuiteResult:
                 for tau in _SIGNS:
                     result.tick(
                         words.check_commutation_law(a, sigma, tau, b),
-                        f"law broke at ({a}, {words.sign_char(sigma)}, "
-                        f"{words.sign_char(tau)}, {b})",
+                        "law broke at (%s, %s, %s, %s)",
+                        a,
+                        words.sign_char(sigma),
+                        words.sign_char(tau),
+                        b,
                     )
     return result
 
@@ -95,14 +100,16 @@ def trees_suite() -> SuiteResult:
             straight = trees.eval_tree(trees.RootedPresentation(tree), gens)
             result.tick(
                 flipped == straight.involution(),
-                f"flip mismatch on a {size}-leaf tree",
+                "flip mismatch on a %d-leaf tree",
+                size,
             )
     for w in words.iter_words(gens, 5):
         if len(w) == 0:
             continue
         result.tick(
             trees.eval_tree(trees.word_to_tree(w), gens) == w,
-            f"round trip moved {w!r}",
+            "round trip moved %r",
+            w,
         )
     visited: set[trees.RootedPresentation] = set()
     for size in range(1, 5):
@@ -117,7 +124,8 @@ def trees_suite() -> SuiteResult:
                     words.class_of(trees.eval_tree(member, gens)) == cls
                     for member in orbit
                 ),
-                f"orbit of a {size}-leaf presentation left its class",
+                "orbit of a %d-leaf presentation left its class",
+                size,
             )
     return result
 
@@ -140,7 +148,10 @@ def assoc_suite() -> SuiteResult:
                 right = words.pair(a, PLUS, MINUS, keep_product(b, c))
                 result.tick(
                     left == right,
-                    f"triple product disagreed at ({a}, {b}, {c})",
+                    "triple product disagreed at (%s, %s, %s)",
+                    a,
+                    b,
+                    c,
                 )
     return result
 
@@ -153,12 +164,12 @@ def monoid_suite() -> SuiteResult:
         for w in words.words_of_length(gens, length):
             back_and_forth = w.concat(w.involution())
             result.tick(
-                len(back_and_forth) > 0,
-                f"{w!r} cancelled against its involution",
+                len(back_and_forth) > 0, "%r cancelled against its involution", w
             )
             result.tick(
                 abelian.abelianize(back_and_forth).is_zero,
-                f"{w!r} * involution did not abelianize to zero",
+                "%r * involution did not abelianize to zero",
+                w,
             )
     return result
 
@@ -213,16 +224,22 @@ def homology_suite() -> SuiteResult:
             result.tick(
                 abelian.multiset_quotient(uv)
                 == abelian.multiset_quotient(u) + abelian.multiset_quotient(v),
-                f"multiset additivity failed on {u!r}, {v!r}",
+                "multiset additivity failed on %r, %r",
+                u,
+                v,
             )
             result.tick(
                 abelian.abelianize(uv)
                 == abelian.abelianize(u) + abelian.abelianize(v),
-                f"abelianize additivity failed on {u!r}, {v!r}",
+                "abelianize additivity failed on %r, %r",
+                u,
+                v,
             )
             result.tick(
                 abelian.diagram_check(u, v, lattice),
-                f"diagram check failed on {u!r}, {v!r}",
+                "diagram check failed on %r, %r",
+                u,
+                v,
             )
     rng = Random(_SEED)
     zero = (0, 0, 0)
@@ -245,34 +262,46 @@ def homology_suite() -> SuiteResult:
         for vec in members:
             result.tick(
                 lat.contains(vec),
-                f"built member rejected at trial {trial}: {vec}",
+                "built member rejected at trial %d: %s",
+                trial,
+                vec,
             )
             result.tick(
                 lat.reduce(vec) == zero,
-                f"member not reduced to zero at trial {trial}: {vec}",
+                "member not reduced to zero at trial %d: %s",
+                trial,
+                vec,
             )
         for vec in others:
             verdict = _exact_member(rows, vec)
             result.tick(
                 lat.contains(vec) == verdict,
-                f"membership mismatch at trial {trial} for {vec}",
+                "membership mismatch at trial %d for %s",
+                trial,
+                vec,
             )
             if not verdict:
                 result.tick(
                     lat.reduce(vec) != zero,
-                    f"non-member reduced to zero at trial {trial}: {vec}",
+                    "non-member reduced to zero at trial %d: %s",
+                    trial,
+                    vec,
                 )
         for vec in members + others:
             reduced = lat.reduce(vec)
             result.tick(
                 lat.reduce(reduced) == reduced,
-                f"reduction not idempotent at trial {trial} for {vec}",
+                "reduction not idempotent at trial %d for %s",
+                trial,
+                vec,
             )
             for row in rows:
                 shifted = tuple(a + b for a, b in zip(vec, row))
                 result.tick(
                     lat.reduce(shifted) == reduced,
-                    f"reduction not shift-invariant at trial {trial} for {vec}",
+                    "reduction not shift-invariant at trial %d for %s",
+                    trial,
+                    vec,
                 )
     return result
 
@@ -311,10 +340,14 @@ def verify_group_law(
         summed = plane.connected_sum_auto(a, sa, sb, b, punctured)
         return plane.winding_profile(summed, punctured)
 
-    def check(law: SuiteResult, got: Profile, want: Profile, where: str) -> None:
+    def check(
+        law: SuiteResult, got: Profile, want: Profile, where: str, *at: int
+    ) -> None:
         # Formatting only failures: formatting every case cost 5% of a sweep.
-        ok = got == want
-        law.tick(ok, "" if ok else f"{where}: {show(got)} != {show(want)}")
+        if got == want:
+            law.tick(True, where)
+        else:
+            law.tick(False, where + ": %s != %s", *at, show(got), show(want))
 
     profiles = [plane.winding_profile(loop, punctured) for loop in loops]
     # pairs[i] is l_i # l_(i+1) at (+,-).
@@ -329,13 +362,13 @@ def verify_group_law(
         j, k = (i + 1) % samples, (i + 2) % samples
         added = tuple([a + b for a, b in zip(w1, profiles[j])])
         got = plane.winding_profile(pairs[i], punctured)
-        check(addition, got, added, f"loops {i},{j}")
-        check(identity, wound(unit, PLUS, MINUS, l1), w1, f"loop {i} left unit sum")
-        check(identity, wound(l1, PLUS, MINUS, unit), w1, f"loop {i} right unit sum")
-        check(inverse, wound(l1, PLUS, PLUS, l1), (0,) * len(w1), f"loop {i} self-sum")
+        check(addition, got, added, "loops %d,%d", i, j)
+        check(identity, wound(unit, PLUS, MINUS, l1), w1, "loop %d left unit sum", i)
+        check(identity, wound(l1, PLUS, MINUS, unit), w1, "loop %d right unit sum", i)
+        check(inverse, wound(l1, PLUS, PLUS, l1), (0,) * len(w1), "loop %d self-sum", i)
         assoc_l = wound(pairs[i], PLUS, MINUS, loops[k])
         assoc_r = wound(l1, PLUS, MINUS, pairs[j])
-        check(associativity, assoc_l, assoc_r, f"loops {i},{j},{k}")
+        check(associativity, assoc_l, assoc_r, "loops %d,%d,%d", i, j, k)
     return laws
 
 
@@ -367,8 +400,10 @@ def oracle_suite() -> SuiteResult:
                 )
                 result.tick(
                     total == sigma * w1 - tau * w2,
-                    f"signed addition failed on pair {i} at "
-                    f"({words.sign_char(sigma)},{words.sign_char(tau)})",
+                    "signed addition failed on pair %d at (%s,%s)",
+                    i,
+                    words.sign_char(sigma),
+                    words.sign_char(tau),
                 )
 
     for i, loop in enumerate(plane.sample_loops(two, 100, _SEED + 2)):
@@ -377,11 +412,13 @@ def oracle_suite() -> SuiteResult:
         reverse = plane.FlaggedLoop(loop.vertices, loop.flag_vertex, back)
         result.tick(
             plane.crossing_word(reverse, two) == word.involution(),
-            f"reversing loop {i} does not invert its crossing word",
+            "reversing loop %d does not invert its crossing word",
+            i,
         )
         result.tick(
             abelian.abelianize(word).coords == plane.winding_profile(loop, two),
-            f"crossing exponents disagree with windings on loop {i}",
+            "crossing exponents disagree with windings on loop %d",
+            i,
         )
     return result
 

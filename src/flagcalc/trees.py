@@ -14,13 +14,20 @@ the governing sign slot toggled so the evaluated word is preserved), by the
 root-sign toggle (switching to the anti presentation), and by reassociation
 of nested ``(+,-)`` nodes.  Every member of a closure evaluates into the same
 presentation class.
+
+``Leaf``, ``Node`` and ``RootedPresentation`` are immutable tuple records, so
+they are built, hashed and compared in C.  Their public constructors check
+generator indices and signs; the trees this module derives from checked
+trees (flips, moves, enumerations, word combs and parsed literals) are built
+through ``tuple.__new__`` and not checked again.  Being tuples, records also
+compare equal to plain tuples with the same fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, NoReturn
+import sys
+from typing import Iterator, NamedTuple, NoReturn
 
 from .errors import DomainError, ParseError, ResourceLimitError
 from .words import (
@@ -36,30 +43,43 @@ from .words import (
 
 DEFAULT_CLOSURE_CAP = 10_000
 
+# Builds a record from fields already checked, skipping its class's ``__new__``.
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Leaf:
-    """A leaf holding the index of a generator."""
 
+class _LeafRecord(NamedTuple):
     gen: int
 
-    def __post_init__(self) -> None:
-        if self.gen < 0:
-            raise DomainError(f"generator index must be nonnegative, got {self.gen}")
+
+class Leaf(_LeafRecord):
+    """A leaf holding the index of a generator."""
+
+    __slots__ = ()
+
+    def __new__(cls, gen: int) -> "Leaf":
+        if gen < 0:
+            raise DomainError(f"generator index must be nonnegative, got {gen}")
+        return _new(cls, (gen,))
 
 
-@dataclass(frozen=True)
-class Node:
-    """Internal node: sign pair plus left/right subtrees."""
-
+class _NodeRecord(NamedTuple):
     sigma: Sign
     tau: Sign
     left: "PairingTree"
     right: "PairingTree"
 
-    def __post_init__(self) -> None:
-        _check_sign(self.sigma)
-        _check_sign(self.tau)
+
+class Node(_NodeRecord):
+    """Internal node: sign pair plus left/right subtrees."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, sigma: Sign, tau: Sign, left: "PairingTree", right: "PairingTree"
+    ) -> "Node":
+        _check_sign(sigma)
+        _check_sign(tau)
+        return _new(cls, (sigma, tau, left, right))
 
 
 # Not typing.Union, whose process-wide cache would keep these classes, and so
@@ -67,15 +87,19 @@ class Node:
 PairingTree = Leaf | Node
 
 
-@dataclass(frozen=True)
-class RootedPresentation:
+class _RootedRecord(NamedTuple):
+    tree: PairingTree
+    root_sign: Sign
+
+
+class RootedPresentation(_RootedRecord):
     """A pairing tree together with a root sign."""
 
-    tree: PairingTree
-    root_sign: Sign = PLUS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_sign(self.root_sign)
+    def __new__(cls, tree: PairingTree, root_sign: Sign = PLUS) -> "RootedPresentation":
+        _check_sign(root_sign)
+        return _new(cls, (tree, root_sign))
 
 
 def eval_tree(rooted: RootedPresentation, gens: GeneratorSet) -> SignedWord:
@@ -83,19 +107,22 @@ def eval_tree(rooted: RootedPresentation, gens: GeneratorSet) -> SignedWord:
 
     Pushes signs down to the leaves: at ``-`` a node reads as the involution
     of its ``+`` value, ``right`` at ``tau`` then ``left`` at ``-sigma``.
+    Each walk follows one spine down to a leaf and leaves the other children
+    on the stack.
     """
     codes: list[int] = []
-    stack = [(rooted.tree, rooted.root_sign)]
+    stack = [rooted]
     while stack:
         tree, sign = stack.pop()
-        if isinstance(tree, Leaf):
-            codes.append(2 * tree.gen + (sign < 0))
-        elif sign > 0:
-            stack.append((tree.right, -tree.tau))
-            stack.append((tree.left, tree.sigma))
-        else:
-            stack.append((tree.left, -tree.sigma))
-            stack.append((tree.right, tree.tau))
+        while type(tree) is Node:
+            sigma, tau, left, right = tree
+            if sign > 0:
+                stack.append((right, -tau))
+                tree, sign = left, sigma
+            else:
+                stack.append((left, -sigma))
+                tree, sign = right, tau
+        codes.append(2 * tree[0] + (sign < 0))
     word = SignedWord._of_codes(gens, tuple(codes))
     if max(codes, default=0) >= 2 * len(gens):
         SignedWord(gens, word.letters)  # raises the checked constructor's error
@@ -104,9 +131,10 @@ def eval_tree(rooted: RootedPresentation, gens: GeneratorSet) -> SignedWord:
 
 def flip(node: PairingTree) -> Node:
     """Swap children and signs; the value becomes its involution."""
-    if not isinstance(node, Node):
+    if type(node) is not Node:
         raise DomainError("flip is defined on internal nodes, not leaves")
-    return Node(node.tau, node.sigma, node.right, node.left)
+    sigma, tau, left, right = node
+    return _new(Node, (tau, sigma, right, left))
 
 
 def word_to_tree(word: SignedWord) -> RootedPresentation:
@@ -120,17 +148,14 @@ def word_to_tree(word: SignedWord) -> RootedPresentation:
     if not codes:
         raise DomainError("the empty word has no pairing tree")
     # A code's low bit is 1 for a ``-`` letter, so ``1 - 2 * bit`` is its sign.
+    first, sign = _new(Leaf, (codes[0] >> 1,)), 1 - 2 * (codes[0] & 1)
     if len(codes) == 1:
-        return RootedPresentation(Leaf(codes[0] >> 1), 1 - 2 * (codes[0] & 1))
-    acc: PairingTree = Node(
-        1 - 2 * (codes[0] & 1),
-        2 * (codes[1] & 1) - 1,
-        Leaf(codes[0] >> 1),
-        Leaf(codes[1] >> 1),
-    )
+        return _new(RootedPresentation, (first, sign))
+    second = _new(Leaf, (codes[1] >> 1,))
+    acc: PairingTree = _new(Node, (sign, 2 * (codes[1] & 1) - 1, first, second))
     for code in codes[2:]:
-        acc = Node(PLUS, 2 * (code & 1) - 1, acc, Leaf(code >> 1))
-    return RootedPresentation(acc, PLUS)
+        acc = _new(Node, (PLUS, 2 * (code & 1) - 1, acc, _new(Leaf, (code >> 1,))))
+    return _new(RootedPresentation, (acc, PLUS))
 
 
 def _variants(tree: PairingTree) -> Iterator[PairingTree]:
@@ -140,31 +165,36 @@ def _variants(tree: PairingTree) -> Iterator[PairingTree]:
     governs it, so the evaluated word never changes; reassociation applies
     only to the all-concatenation ``(+,-)`` sign pattern.
     """
-    if isinstance(tree, Leaf):
+    if type(tree) is Leaf:
         return
-    sigma, tau, left, right = tree.sigma, tree.tau, tree.left, tree.right
-    if isinstance(left, Node):
-        yield Node(-sigma, tau, flip(left), right)
-    if isinstance(right, Node):
-        yield Node(sigma, -tau, left, flip(right))
-    if (sigma, tau) == (PLUS, MINUS):
-        if isinstance(left, Node) and (left.sigma, left.tau) == (PLUS, MINUS):
-            yield Node(PLUS, MINUS, left.left, Node(PLUS, MINUS, left.right, right))
-        if isinstance(right, Node) and (right.sigma, right.tau) == (PLUS, MINUS):
-            yield Node(PLUS, MINUS, Node(PLUS, MINUS, left, right.left), right.right)
+    sigma, tau, left, right = tree
+    left_node = type(left) is Node
+    right_node = type(right) is Node
+    if left_node:
+        ls, lt, ll, lr = left
+        yield _new(Node, (-sigma, tau, _new(Node, (lt, ls, lr, ll)), right))
+    if right_node:
+        rs, rt, rl, rr = right
+        yield _new(Node, (sigma, -tau, left, _new(Node, (rt, rs, rr, rl))))
+    if sigma == PLUS and tau == MINUS:
+        if left_node and ls == PLUS and lt == MINUS:
+            yield _new(Node, (PLUS, MINUS, ll, _new(Node, (PLUS, MINUS, lr, right))))
+        if right_node and rs == PLUS and rt == MINUS:
+            yield _new(Node, (PLUS, MINUS, _new(Node, (PLUS, MINUS, left, rl)), rr))
     for sub in _variants(left):
-        yield Node(sigma, tau, sub, right)
+        yield _new(Node, (sigma, tau, sub, right))
     for sub in _variants(right):
-        yield Node(sigma, tau, left, sub)
+        yield _new(Node, (sigma, tau, left, sub))
 
 
 def neighbors(rooted: RootedPresentation) -> Iterator[RootedPresentation]:
     """All rooted presentations one move away."""
-    yield RootedPresentation(rooted.tree, -rooted.root_sign)
-    if isinstance(rooted.tree, Node):
-        yield RootedPresentation(flip(rooted.tree), -rooted.root_sign)
-    for tree in _variants(rooted.tree):
-        yield RootedPresentation(tree, rooted.root_sign)
+    tree, root_sign = rooted
+    yield _new(RootedPresentation, (tree, -root_sign))
+    if type(tree) is Node:
+        yield _new(RootedPresentation, (flip(tree), -root_sign))
+    for variant in _variants(tree):
+        yield _new(RootedPresentation, (variant, root_sign))
 
 
 def move_closure(
@@ -173,10 +203,23 @@ def move_closure(
     """Everything reachable from ``rooted`` by single moves, ``rooted`` included.
 
     Raises :class:`ResourceLimitError` as soon as the closure would exceed
-    ``cap`` members.
+    ``cap`` members, and :class:`RecursionError` for a tree nested deeper
+    than the interpreter's recursion limit.
     """
     if cap < 1:
         raise DomainError(f"closure cap must be positive, got {cap}")
+    # A tuple's hash recurses in C with no depth guard, so hashing a deep
+    # enough tree would crash the interpreter.  A move deepens a tree by at
+    # most one level and ``_variants`` recurses once per level, so only the
+    # start can be much deeper than the limit.
+    limit = sys.getrecursionlimit()
+    below: list[tuple[PairingTree, int]] = [(rooted.tree, 1)]
+    while below:
+        tree, depth = below.pop()
+        if depth > limit:
+            raise RecursionError("pairing tree nested deeper than the recursion limit")
+        if type(tree) is Node:
+            below += ((tree[2], depth + 1), (tree[3], depth + 1))
     seen = {rooted}
     frontier = [rooted]
     while frontier:
@@ -198,7 +241,8 @@ def all_trees(n_leaves: int, n_gens: int) -> list[PairingTree]:
         raise DomainError("trees have at least one leaf")
     if n_gens < 1:
         raise DomainError("need at least one generator")
-    table: list[list[PairingTree]] = [[], [Leaf(i) for i in range(n_gens)]]
+    leaves: list[PairingTree] = [_new(Leaf, (i,)) for i in range(n_gens)]
+    table = [[], leaves]
     for size in range(2, n_leaves + 1):
         layer: list[PairingTree] = []
         for left_size in range(1, size):
@@ -206,7 +250,7 @@ def all_trees(n_leaves: int, n_gens: int) -> list[PairingTree]:
                 for right in table[size - left_size]:
                     for sigma in (PLUS, MINUS):
                         for tau in (PLUS, MINUS):
-                            layer.append(Node(sigma, tau, left, right))
+                            layer.append(_new(Node, (sigma, tau, left, right)))
         table.append(layer)
     return table[n_leaves]
 
@@ -214,8 +258,8 @@ def all_trees(n_leaves: int, n_gens: int) -> list[PairingTree]:
 def iter_rooted(n_leaves: int, n_gens: int) -> Iterator[RootedPresentation]:
     """Every rooted presentation with exactly ``n_leaves`` leaves."""
     for tree in all_trees(n_leaves, n_gens):
-        yield RootedPresentation(tree, PLUS)
-        yield RootedPresentation(tree, MINUS)
+        yield _new(RootedPresentation, (tree, PLUS))
+        yield _new(RootedPresentation, (tree, MINUS))
 
 
 def format_tree(rooted: RootedPresentation, gens: GeneratorSet) -> str:
@@ -276,9 +320,9 @@ class _TreeParser:
             closer, column = self.take("']'")
             if closer != "]":
                 self.fail(f"expected ']', got {closer!r}", column, ("']'",))
-            rooted = RootedPresentation(tree, root_sign)
+            rooted = _new(RootedPresentation, (tree, root_sign))
         else:
-            rooted = RootedPresentation(self.parse_tree(), PLUS)
+            rooted = _new(RootedPresentation, (self.parse_tree(), PLUS))
         trailing = self.peek()
         if trailing is not None:
             self.fail(
@@ -307,7 +351,8 @@ class _TreeParser:
                     ("'leaf:<name>'", "'(pair <st> <tree> <tree>)'"),
                 )
             name = token[len("leaf:"):]
-            tree: PairingTree = Leaf(self.gens.index(name, line=self.line, column=column))
+            index = self.gens.index(name, line=self.line, column=column)
+            tree: PairingTree = _new(Leaf, (index,))
             while open_nodes:
                 sigma, tau, children = open_nodes[-1]
                 children.append(tree)
@@ -317,7 +362,7 @@ class _TreeParser:
                 if closer != ")":
                     self.fail(f"expected ')', got {closer!r}", ccol, ("')'",))
                 open_nodes.pop()
-                tree = Node(sigma, tau, children[0], children[1])
+                tree = _new(Node, (sigma, tau, children[0], children[1]))
             else:
                 return tree
 

@@ -56,6 +56,14 @@ class TestMultisetQuotient:
     def test_empty_word(self):
         assert multiset_quotient(w("")) == SignedMultiset((0, 0), (0, 0))
 
+    @pytest.mark.parametrize(
+        "plus,minus,message",
+        [((1, 0), (0,), "equal length"), ((1, -1), (0, 0), "nonnegative")],
+    )
+    def test_constructor_rejects_bad_counts(self, plus, minus, message):
+        with pytest.raises(DomainError, match=message):
+            SignedMultiset(plus, minus)
+
     @given(signed_words, signed_words)
     def test_additive_under_concat(self, u, v):
         assert multiset_quotient(u.concat(v)) == multiset_quotient(

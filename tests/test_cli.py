@@ -1,7 +1,10 @@
 import io
+import os
 import random
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import flagcalc
 from flagcalc.cli import (
     MAX_SWEEP_SAMPLES,
     Session,
@@ -398,6 +402,45 @@ class TestDeepTrees:
         out, err, code = script_output(f"gens a b\norbit {literal}\nab a+\n")
         assert (out, code) == ("generators: a b\n(1, 0)\n", 1)
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deep_closure_is_refused_not_crashed(self):
+        # A tuple's hash recurses in C with no depth guard; in a subprocess a
+        # crash fails this test instead of killing pytest.
+        package_root = str(Path(flagcalc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": package_root}
+        program = (
+            "from flagcalc.trees import move_closure, word_to_tree\n"
+            "from flagcalc.words import GeneratorSet, parse_word\n"
+            "word = parse_word('a+ b-', GeneratorSet.of('a', 'b'))\n"
+            "for _ in range(19):\n"
+            "    word = word.concat(word)\n"  # 2**20 letters
+            "try:\n"
+            "    move_closure(word_to_tree(word))\n"
+            "except RecursionError:\n"
+            "    print('refused')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", program],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "refused\n", "")
+        literal = left_comb(deep_word(1_500))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagcalc"],
+            input=f"gens a b\norbit {literal}\n",
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1,
+            "generators: a b\n",
+            "error: input nested too deeply for this command\n",
+        )
 
     def test_session_save_load_save(self, tmp_path):
         letters = deep_word()

@@ -12,7 +12,21 @@ from flagcalc import cli, plane
 from flagcalc.abelian import RelationLattice
 from flagcalc.errors import DomainError
 from flagcalc.plane import Point, PuncturedPlane, winding_profile
-from flagcalc.suites import _contractible_square, _exact_member, verify_group_law
+from flagcalc.suites import (
+    SuiteResult,
+    _contractible_square,
+    _exact_member,
+    verify_group_law,
+)
+
+
+def test_tick_formats_only_failures():
+    result = SuiteResult("x")
+    result.tick(True, "%d is never formatted", "not a number")
+    result.tick(False, "fiber of %r split", (1,))
+    result.tick(False, "100% plain")
+    assert result.checks == 3
+    assert result.failures == ["fiber of (1,) split", "100% plain"]
 
 
 @pytest.mark.parametrize(

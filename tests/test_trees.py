@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from flagcalc.trees import (
     Leaf,
     Node,
     RootedPresentation,
+    all_trees,
     eval_tree,
     flip,
     format_tree,
@@ -26,6 +29,7 @@ from flagcalc.words import (
     GeneratorSet,
     SignedLetter,
     SignedWord,
+    iter_words,
     parse_word,
 )
 
@@ -43,6 +47,86 @@ letters = st.builds(
 nonempty_words3 = st.builds(
     lambda ls: SignedWord(GENS3, tuple(ls)), st.lists(letters, min_size=1, max_size=6)
 )
+
+
+def rebuild(rooted: RootedPresentation) -> RootedPresentation:
+    """The same presentation rebuilt through the checked public constructors."""
+
+    def tree(t):
+        if isinstance(t, Leaf):
+            return Leaf(t.gen)
+        return Node(t.sigma, t.tau, tree(t.left), tree(t.right))
+
+    return RootedPresentation(tree(rooted.tree), rooted.root_sign)
+
+
+def derived_presentations():
+    """Every presentation the library builds unchecked, up to 4 leaves."""
+    yield from (word_to_tree(word) for word in iter_words(GENS, 4) if len(word))
+    seen = set()
+    for n in range(1, 5):
+        for tree in all_trees(n, len(GENS)):
+            yield RootedPresentation(tree)
+            yield parse_tree(format_tree(RootedPresentation(tree), GENS), GENS)
+            if isinstance(tree, Node):
+                yield RootedPresentation(flip(tree))
+        for rooted in iter_rooted(n, len(GENS)):
+            if rooted not in seen:
+                orbit = move_closure(rooted)
+                seen.update(orbit)
+                yield from orbit
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Leaf(-1),
+            lambda: Node(0, PLUS, Leaf(0), Leaf(1)),
+            lambda: Node(PLUS, 2, Leaf(0), Leaf(1)),
+            lambda: RootedPresentation(Leaf(0), 0),
+        ],
+        ids=["leaf", "sigma", "tau", "root-sign"],
+    )
+    def test_public_constructors_check(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    def test_derived_trees_match_their_checked_rebuild(self):
+        count = 0
+        for rooted in derived_presentations():
+            checked = rebuild(rooted)
+            assert rooted == checked
+            assert hash(rooted) == hash(checked)
+            assert repr(rooted) == repr(checked)
+            count += 1
+        assert count > 10_000
+
+    def test_repr_keeps_field_names(self):
+        node = Node(PLUS, MINUS, Leaf(0), Leaf(1))
+        assert repr(node) == (
+            "Node(sigma=1, tau=-1, left=Leaf(gen=0), right=Leaf(gen=1))"
+        )
+        assert repr(RootedPresentation(node, MINUS)) == (
+            f"RootedPresentation(tree={node!r}, root_sign=-1)"
+        )
+
+    def test_pickle_round_trip(self):
+        for rooted in iter_rooted(3, len(GENS)):
+            back = pickle.loads(pickle.dumps(rooted))
+            assert back == rooted and repr(back) == repr(rooted)
+
+    def test_fields_are_read_only(self):
+        node = Node(PLUS, MINUS, Leaf(0), Leaf(1))
+        with pytest.raises(AttributeError):
+            node.sigma = MINUS
+        with pytest.raises(AttributeError):
+            node.left.gen = 1
+        with pytest.raises(AttributeError):
+            RootedPresentation(node).root_sign = MINUS
+
+    def test_records_equal_plain_tuples_of_their_fields(self):
+        assert Node(PLUS, MINUS, Leaf(0), Leaf(1)) == (PLUS, MINUS, (0,), (1,))
 
 
 class TestEval:
