@@ -5,10 +5,12 @@ Three layers, each a monoid homomorphism out of the previous one:
 * :func:`multiset_quotient` forgets letter order, keeping one count per
   signed generator;
 * :func:`abelianize` keeps only the difference ``#c_i+  -  #c_i-`` per
-  generator, the :func:`difference_map` of the multiset, counted straight
-  from the word's letter codes;
-* :func:`reduce_coset` reduces an integer vector modulo the row lattice of a
-  relation matrix, yielding a canonical coset representative.
+  generator, counted straight from the word's letter codes;
+* :meth:`RelationLattice.reduce` reduces an integer vector modulo the row
+  lattice of a relation matrix, yielding a canonical coset representative.
+
+Vectors are plain ``tuple[int, ...]``s, one entry per generator, the type
+:func:`flagcalc.plane.winding_profile` gives a loop's image in H_1.
 
 Lattice reduction uses an integer Hermite-style echelon basis computed once
 per lattice; all arithmetic is arbitrary-precision, so there is no overflow
@@ -58,38 +60,6 @@ class SignedMultiset:
         )
 
 
-@dataclass(frozen=True)
-class AbelianVector:
-    """Integer coordinate vector, one entry per generator."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coords:
-            raise DomainError("abelian vector needs at least one coordinate")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "AbelianVector") -> "AbelianVector":
-        if not isinstance(other, AbelianVector):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DomainError("cannot add vectors of different dimensions")
-        return AbelianVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "AbelianVector":
-        return AbelianVector(tuple(-c for c in self.coords))
-
-    def __str__(self) -> str:
-        return format_vector(self.coords)
-
-
 def multiset_quotient(word: SignedWord) -> SignedMultiset:
     """Forget letter order; additive over concatenation."""
     counts = [0] * (2 * len(word.gens))
@@ -98,17 +68,12 @@ def multiset_quotient(word: SignedWord) -> SignedMultiset:
     return SignedMultiset._of_counts(tuple(counts[0::2]), tuple(counts[1::2]))
 
 
-def difference_map(ms: SignedMultiset) -> AbelianVector:
-    """Per-generator count difference; collapses each ``{c+, c-}`` pair."""
-    return AbelianVector(tuple(p - m for p, m in zip(ms.plus, ms.minus)))
-
-
-def abelianize(word: SignedWord) -> AbelianVector:
+def abelianize(word: SignedWord) -> tuple[int, ...]:
     """Signed exposure counts ``#c_i+ - #c_i-``; negates under the involution."""
     coords = [0] * len(word.gens)
     for code in word.codes:
         coords[code >> 1] += 1 - 2 * (code & 1)
-    return AbelianVector(tuple(coords))
+    return tuple(coords)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -237,46 +202,6 @@ class RelationLattice:
         return all(x == 0 for x in self.reduce(coords))
 
 
-@dataclass(frozen=True)
-class HomologyClass:
-    """A coset of the relation lattice, stored by its canonical representative."""
-
-    lattice: RelationLattice
-    rep: AbelianVector
-
-    def __post_init__(self) -> None:
-        if self.rep.dim != self.lattice.dim:
-            raise DomainError("representative dimension does not match lattice")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rep.is_zero
-
-    def __str__(self) -> str:
-        return format_vector(self.rep.coords)
-
-
-def reduce_coset(vector: AbelianVector, lattice: RelationLattice) -> HomologyClass:
-    """Idempotent reduction of ``vector`` to its canonical coset representative."""
-    return HomologyClass(lattice, AbelianVector(lattice.reduce(vector.coords)))
-
-
-def diagram_check(u: SignedWord, v: SignedWord, lattice: RelationLattice) -> bool:
-    """Abelianize-then-reduce commutes with concatenation on ``u`` and ``v``."""
-    via_concat = reduce_coset(abelianize(u.concat(v)), lattice)
-    via_sum = reduce_coset(abelianize(u) + abelianize(v), lattice)
-    return via_concat == via_sum
-
-
-def tower_image(
-    word: SignedWord, lattice: RelationLattice
-) -> tuple[SignedMultiset, AbelianVector, HomologyClass]:
-    """The word's image at every level of the tower."""
-    ms = multiset_quotient(word)
-    vec = difference_map(ms)
-    return ms, vec, reduce_coset(vec, lattice)
-
-
 def format_multiset(ms: SignedMultiset, gens: GeneratorSet) -> str:
     """Render as ``{a+:2, a-:0, b+:0, b-:1}`` in generator order."""
     if len(ms.plus) != len(gens):
@@ -293,7 +218,7 @@ def format_vector(coords: tuple[int, ...]) -> str:
     return "(" + ", ".join(str(c) for c in coords) + ")"
 
 
-def parse_vector(text: str, *, line: int = 1) -> AbelianVector:
+def parse_vector(text: str, *, line: int = 1) -> tuple[int, ...]:
     """Parse ``(n1, n2, ...)`` with integer entries."""
     stripped = text.strip()
     if not (stripped.startswith("(") and stripped.endswith(")")):
@@ -322,7 +247,7 @@ def parse_vector(text: str, *, line: int = 1) -> AbelianVector:
                 expected=("integer",),
             ) from None
         start += len(part) + 1
-    return AbelianVector(tuple(coords))
+    return tuple(coords)
 
 
 def parse_lattice_row(raw: str, *, line: int = 1) -> list[int]:

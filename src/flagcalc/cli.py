@@ -219,16 +219,14 @@ def _cmd_ms(session: Session, args: list[str]) -> tuple[str, int]:
 
 def _cmd_ab(session: Session, args: list[str]) -> tuple[str, int]:
     vec = abelian.abelianize(_resolve_word(session, _joined(args, "ab <word>")))
-    return abelian.format_vector(vec.coords), 0
+    return abelian.format_vector(vec), 0
 
 
 def _cmd_coset(session: Session, args: list[str]) -> tuple[str, int]:
     vector = abelian.parse_vector(_joined(args, "coset <vector>"))
-    lattice = session.lattice
-    if lattice is None:
-        lattice = abelian.RelationLattice.free(vector.dim)
-    cls = abelian.reduce_coset(vector, lattice)
-    return abelian.format_vector(cls.rep.coords), 0
+    if session.lattice is not None:  # else the free lattice, which reduces nothing
+        vector = session.lattice.reduce(vector)
+    return abelian.format_vector(vector), 0
 
 
 def _cmd_lattice(session: Session, args: list[str]) -> tuple[str, int]:
@@ -476,15 +474,24 @@ def _parse_session_text(text: str) -> Session:
                 choice = words.parse_word(rest, gens, line=lineno)
                 overrides[choice] = choice
             elif head == "lattice":
-                fields = rest.split()
+                # The header's fields, after "lattice", with their columns.
+                fields = list(re.finditer(r"\S+", lines[lineno - 1].split("#", 1)[0]))[1:]
                 if len(fields) != 2:
                     raise ParseError(
                         "lattice header needs row count and dimension", line=lineno
                     )
-                try:
-                    n_rows, dim = int(fields[0]), int(fields[1])
-                except ValueError as exc:
-                    raise ParseError(f"bad integer in session file: {exc}", line=lineno) from None
+                header = []
+                for match in fields:
+                    try:
+                        header.append(int(match.group()))
+                    except ValueError:
+                        raise ParseError(
+                            f"bad integer {match.group()!r} in lattice header",
+                            line=lineno,
+                            column=match.start() + 1,
+                            expected=("integer",),
+                        ) from None
+                n_rows, dim = header
                 if n_rows < 0:
                     raise ParseError(
                         f"negative lattice row count {n_rows}", line=lineno
@@ -496,8 +503,12 @@ def _parse_session_text(text: str) -> Session:
                             "lattice header promises more rows than the file has",
                             line=lineno,
                         )
-                    rows.append(abelian.parse_lattice_row(lines[i], line=i + 1))
+                    row = abelian.parse_lattice_row(lines[i], line=i + 1)
                     i += 1
+                    if len(row) != dim:
+                        message = f"lattice row {tuple(row)!r} does not have dimension {dim}"
+                        raise ParseError(message, line=i)
+                    rows.append(row)
                 session.lattice = abelian.RelationLattice.from_rows(rows, dim=dim)
             elif head == "punctures:":
                 session.plane = planes.parse_punctures_line(line, line=lineno)

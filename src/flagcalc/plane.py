@@ -17,13 +17,13 @@ Coordinates are rational, but the predicates run on integers.  A loop
 carries its vertices as integer pairs over their least common denominator,
 computed once when it is built from points.  The loops that flag moves and
 connected sums derive are built straight from their operands' integers, and
-a loop builds its ``Point`` tuple only when asked for it.  Each operation
-scales the punctures and the base point to a common denominator with the
-loop (:func:`_over_one_den`), then takes every orientation, on-segment,
-triangle, ray and ordering test on Python ints.  Each test is the sign of an
-order comparison or of a cross product, and multiplying every coordinate by
-one positive integer keeps those signs, so the answers are those of the
-rational points, with no tolerances.
+a loop builds its ``Point`` tuple only when asked for it.  A plane keeps its
+punctures the same way.  Each operation scales the loop, the punctures and
+the base point to one common denominator (:func:`_over_one_den`), then takes
+every orientation, on-segment, triangle, ray and ordering test on Python
+ints.  Each test is the sign of an order comparison or of a cross product,
+and multiplying every coordinate by one positive integer keeps those signs,
+so the answers are those of the rational points, with no tolerances.
 
 The corridor's return leg is offset by a small rational shear so the out and
 back segments do not overlap; the shear is shrunk deterministically until
@@ -148,6 +148,8 @@ class PuncturedPlane:
 
     punctures: tuple[Point, ...]
     gens: GeneratorSet = field(init=False, compare=False, repr=False)
+    _den: int = field(init=False, compare=False, repr=False)
+    _ints: tuple[_IntPoint, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.punctures:
@@ -159,6 +161,8 @@ class PuncturedPlane:
             raise DomainError("punctures must have pairwise distinct x-coordinates")
         names = tuple(f"x{j + 1}" for j in range(len(self.punctures)))
         object.__setattr__(self, "gens", GeneratorSet(names))
+        object.__setattr__(self, "_den", _lcd(self.punctures))
+        object.__setattr__(self, "_ints", tuple(_scale(self.punctures, self._den)))
 
 
 # The ``oracle`` suite's one-puncture plane, and ``oracle sweep``'s when none is loaded.
@@ -257,11 +261,11 @@ class FlaggedLoop:
 
 
 def _over_one_den(
-    loop: FlaggedLoop, points: Sequence[Point]
+    loop: FlaggedLoop, plane: PuncturedPlane, den: int = 1
 ) -> tuple[int, list[_IntPoint], list[_IntPoint]]:
-    """A common denominator of ``loop`` and ``points``, and both scaled to it."""
-    den = math.lcm(loop._den, _lcd(points))
-    return den, _times(loop._ints, den // loop._den), _scale(points, den)
+    """The lcm of ``den`` and both denominators, and the loop and punctures over it."""
+    den = math.lcm(den, loop._den, plane._den)
+    return den, _times(loop._ints, den // loop._den), _times(plane._ints, den // plane._den)
 
 
 def _check_avoids(
@@ -279,7 +283,7 @@ def _check_avoids(
 
 def ensure_avoids(loop: FlaggedLoop, plane: PuncturedPlane) -> None:
     """Raise unless every vertex and edge stays clear of every puncture."""
-    _, vertices, punctures = _over_one_den(loop, plane.punctures)
+    _, vertices, punctures = _over_one_den(loop, plane)
     _check_avoids(vertices, punctures)
 
 
@@ -290,25 +294,28 @@ def winding_number(loop: FlaggedLoop, puncture: Point) -> int:
     are treated half-open in y, so vertices landing exactly on the
     horizontal through the puncture are attributed to exactly one edge.
     """
-    _, vertices, (p,) = _over_one_den(loop, (puncture,))
-    py = p[1]
-    wn = 0
-    for a, b in _edges(_walk(vertices, loop.flag_vertex, loop.traversal)):
-        cross = _cross(a, b, p)
-        if cross == 0 and _in_box(p, a, b):
-            raise DomainError("loop touches the puncture; winding is undefined")
-        if a[1] <= py:
-            if b[1] > py and cross > 0:
-                wn += 1
-        elif b[1] <= py and cross < 0:
-            wn -= 1
-    return wn
+    return winding_profile(loop, PuncturedPlane((puncture,)))[0]
 
 
 def winding_profile(loop: FlaggedLoop, plane: PuncturedPlane) -> tuple[int, ...]:
     """Winding number around each puncture, in puncture order."""
-    # A list: tuple() of a generator fills CPython's tuple free list (see _times).
-    return tuple([winding_number(loop, p) for p in plane.punctures])
+    _, vertices, punctures = _over_one_den(loop, plane)
+    walk = _walk(vertices, loop.flag_vertex, loop.traversal)
+    profile = []
+    for p in punctures:
+        py = p[1]
+        wn = 0
+        for a, b in _edges(walk):
+            cross = _cross(a, b, p)
+            if cross == 0 and _in_box(p, a, b):
+                raise DomainError("loop touches the puncture; winding is undefined")
+            if a[1] <= py:
+                if b[1] > py and cross > 0:
+                    wn += 1
+            elif b[1] <= py and cross < 0:
+                wn -= 1
+        profile.append(wn)
+    return tuple(profile)
 
 
 # Fractions ``t`` of the way from the flag to the base, as (numerator, denominator).
@@ -364,7 +371,8 @@ def normalize_flag(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> Fla
     two legs cancel, so every winding number is preserved.  A loop already
     flagged at ``base`` is only rotated into traversal order.
     """
-    den, vertices, (b, *punctures) = _over_one_den(loop, (base,) + plane.punctures)
+    den, vertices, punctures = _over_one_den(loop, plane, _lcd((base,)))
+    (b,) = _scale((base,), den)
     if b in punctures:
         raise DomainError("base point coincides with a puncture")
     _check_avoids(vertices, punctures)
@@ -439,7 +447,7 @@ def _crossable(
     loop: FlaggedLoop, plane: PuncturedPlane
 ) -> tuple[list[_IntPoint], list[_IntPoint]]:
     """``loop`` and the punctures over one denominator; raises unless it has a word."""
-    _, vertices, punctures = _over_one_den(loop, plane.punctures)
+    _, vertices, punctures = _over_one_den(loop, plane)
     _check_avoids(vertices, punctures)
     for i, v in enumerate(vertices):
         for j, p in enumerate(punctures):

@@ -262,19 +262,26 @@ def iter_rooted(n_leaves: int, n_gens: int) -> Iterator[RootedPresentation]:
         yield _new(RootedPresentation, (tree, MINUS))
 
 
+# The opening of a node's literal, by its sign pair.
+_PAIR_OPEN = {
+    (s, t): f"(pair {sign_char(s)}{sign_char(t)} " for s in (PLUS, MINUS) for t in (PLUS, MINUS)
+}
+
+
 def format_tree(rooted: RootedPresentation, gens: GeneratorSet) -> str:
     """Render as ``[<r> <tree>]`` with ``leaf:<name>`` and ``(pair <st> L R)``."""
     parts = [f"[{sign_char(rooted.root_sign)} "]
     stack: list[PairingTree | str] = [rooted.tree]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             parts.append(item)
-        elif isinstance(item, Leaf):
-            parts.append(f"leaf:{gens.names[item.gen]}")
+        elif len(item) == 1:  # a Leaf; ")" and " " are caught above
+            parts.append("leaf:" + gens.names[item[0]])
         else:
-            parts.append(f"(pair {sign_char(item.sigma)}{sign_char(item.tau)} ")
-            stack += [")", item.right, " ", item.left]
+            sigma, tau, left, right = item
+            parts.append(_PAIR_OPEN[sigma, tau])
+            stack += [")", right, " ", left]
     parts.append("]")
     return "".join(parts)
 

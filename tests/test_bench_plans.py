@@ -36,3 +36,33 @@ def test_one_round_is_correct(bench_run, tmp_path, workload):
     assert phase.correct, phase.problems
     assert phase.failed == 0
     assert plan.confirm(flagcalc)
+
+
+def _patchable(package, layers):
+    """What a tracer may replace: module callables, suite entries, lattice members."""
+    found = {
+        name: {k: v for k, v in vars(getattr(package, name)).items() if callable(v)}
+        for name in layers.LAYERS
+    }
+    found["SUITES"] = dict(package.suites.SUITES)
+    found["RelationLattice"] = dict(vars(package.abelian.RelationLattice))
+    return found
+
+
+@pytest.mark.parametrize("workload", ["session", "oracle-sweep"])
+def test_one_traced_round_is_correct(bench_run, tmp_path, workload):
+    layers = bench_run.layers
+    plan = bench_run.workloads.PLANS[workload](1, tmp_path)
+    before = _patchable(flagcalc, layers)
+    tracer = layers.Tracer(flagcalc)
+    tracer.install()
+    try:
+        phase = bench_run.run_phase(
+            flagcalc, plan, None, rounds=1, after_round=lambda _: tracer.end_round()
+        )
+    finally:
+        tracer.uninstall()
+    assert phase.correct, phase.problems
+    assert phase.failed == 0
+    assert tracer.layers["cli"].calls > 0
+    assert _patchable(flagcalc, layers) == before

@@ -341,6 +341,29 @@ class TestSessionPersistence:
         _, _, err, code = run(Session(), f"load {path}")
         assert (err, code) == ("2:1: negative lattice row count -2", 2)
 
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            (
+                "gens a b\nlattice x 2\n",
+                "2:9: bad integer 'x' in lattice header (expected integer)",
+            ),
+            (
+                "gens a b\n  lattice 1 2x  # rows\n2 0\n",
+                "2:13: bad integer '2x' in lattice header (expected integer)",
+            ),
+            (
+                "gens a b\nlattice 2 3\n1 0 0\n2 0\n",
+                "4:1: lattice row (2, 0) does not have dimension 3",
+            ),
+        ],
+    )
+    def test_lattice_errors_name_their_token_and_line(self, tmp_path, text, error):
+        path = tmp_path / "bad.session"
+        path.write_text(text)
+        _, _, err, code = run(Session(), f"load {path}")
+        assert (err, code) == (error, 2)
+
     def test_bad_session_directive_is_syntax_error(self, tmp_path):
         path = tmp_path / "bad.session"
         path.write_text("gens a\nwibble 3\n")

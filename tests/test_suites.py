@@ -93,7 +93,9 @@ class TestGroupLawOracle:
     def test_reports_failing_laws(self, monkeypatch):
         # Every loop and every sum winds once: sums stop adding and self-sums
         # stop cancelling, while the unit and the bracketings still agree.
-        monkeypatch.setattr(plane, "winding_number", lambda loop, puncture: 1)
+        monkeypatch.setattr(
+            plane, "winding_profile", lambda loop, punctured: (1,) * len(punctured.punctures)
+        )
         out, code = script_output("oracle sweep --samples 3 --seed 1\n")
         lines = out.splitlines()
         assert code == 1

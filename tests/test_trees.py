@@ -230,6 +230,27 @@ class TestTreeText:
         assert format_tree(rooted, GENS) == "[+ (pair +- leaf:a leaf:b)]"
         assert format_tree(RootedPresentation(Leaf(1), MINUS), GENS) == "[- leaf:b]"
 
+    @pytest.mark.parametrize(
+        "tree,root,text",
+        [
+            (Node(PLUS, PLUS, Leaf(0), Leaf(1)), PLUS, "[+ (pair ++ leaf:a leaf:b)]"),
+            (Node(MINUS, PLUS, Leaf(1), Leaf(0)), PLUS, "[+ (pair -+ leaf:b leaf:a)]"),
+            (Node(MINUS, MINUS, Leaf(0), Leaf(0)), MINUS, "[- (pair -- leaf:a leaf:a)]"),
+            (
+                Node(PLUS, MINUS, Node(MINUS, PLUS, Leaf(0), Leaf(1)), Leaf(1)),
+                MINUS,
+                "[- (pair +- (pair -+ leaf:a leaf:b) leaf:b)]",
+            ),
+            (
+                Node(PLUS, MINUS, Leaf(0), Node(MINUS, MINUS, Leaf(1), Leaf(0))),
+                PLUS,
+                "[+ (pair +- leaf:a (pair -- leaf:b leaf:a))]",
+            ),
+        ],
+    )
+    def test_format_pins_the_exact_text(self, tree, root, text):
+        assert format_tree(RootedPresentation(tree, root), GENS) == text
+
     def test_parse_examples(self):
         rooted = parse_tree("[+ (pair +- leaf:a leaf:b)]", GENS)
         assert rooted == RootedPresentation(Node(PLUS, MINUS, Leaf(0), Leaf(1)))
