@@ -123,10 +123,11 @@ def eval_tree(rooted: RootedPresentation, gens: GeneratorSet) -> SignedWord:
                 stack.append((left, -sigma))
                 tree, sign = right, tau
         codes.append(2 * tree[0] + (sign < 0))
-    word = SignedWord._of_codes(gens, tuple(codes))
-    if max(codes, default=0) >= 2 * len(gens):
-        SignedWord(gens, word.letters)  # raises the checked constructor's error
-    return word
+    n = len(gens)
+    if max(codes) >= 2 * n:
+        gen = next(c >> 1 for c in codes if c >= 2 * n)
+        raise DomainError(f"letter index {gen} out of range for {n} generators")
+    return SignedWord._of_codes(gens, tuple(codes))
 
 
 def flip(node: PairingTree) -> Node:
@@ -235,24 +236,34 @@ def move_closure(
     return frozenset(seen)
 
 
-def all_trees(n_leaves: int, n_gens: int) -> list[PairingTree]:
-    """Every pairing tree with exactly ``n_leaves`` leaves over ``n_gens`` generators."""
+def all_trees(n_leaves: int, n_gens: int) -> Iterator[PairingTree]:
+    """Every pairing tree with exactly ``n_leaves`` leaves over ``n_gens`` generators.
+
+    The arguments are checked at the call.  The smaller sizes are built as
+    lists to draw subtrees from; the trees of ``n_leaves`` leaves, the
+    largest layer by far, are yielded one at a time and never held.
+    """
     if n_leaves < 1:
         raise DomainError("trees have at least one leaf")
     if n_gens < 1:
         raise DomainError("need at least one generator")
     leaves: list[PairingTree] = [_new(Leaf, (i,)) for i in range(n_gens)]
+    if n_leaves == 1:
+        return iter(leaves)
     table = [[], leaves]
-    for size in range(2, n_leaves + 1):
-        layer: list[PairingTree] = []
-        for left_size in range(1, size):
-            for left in table[left_size]:
-                for right in table[size - left_size]:
-                    for sigma in (PLUS, MINUS):
-                        for tau in (PLUS, MINUS):
-                            layer.append(_new(Node, (sigma, tau, left, right)))
-        table.append(layer)
-    return table[n_leaves]
+    for size in range(2, n_leaves):
+        table.append(list(_layer(table, size)))
+    return _layer(table, n_leaves)
+
+
+def _layer(table: list[list[PairingTree]], size: int) -> Iterator[PairingTree]:
+    """The node trees of ``size`` leaves, with subtrees from ``table[1:size]``."""
+    for left_size in range(1, size):
+        for left in table[left_size]:
+            for right in table[size - left_size]:
+                for sigma in (PLUS, MINUS):
+                    for tau in (PLUS, MINUS):
+                        yield _new(Node, (sigma, tau, left, right))
 
 
 def iter_rooted(n_leaves: int, n_gens: int) -> Iterator[RootedPresentation]:

@@ -10,7 +10,7 @@ A word stores each letter ``c_i^s`` as the int code ``2*i + (s < 0)``, so
 the involution reverses the codes and flips their low bit, and comparing
 code tuples is the letter order (generator index ascending, then ``+``
 before ``-``).  ``SignedWord(gens, letters)`` takes :class:`SignedLetter`
-pairs and checks them; the ``letters`` property rebuilds them from the codes.
+pairs and checks them; the word keeps only their codes.
 
 Free reduction (:func:`free_reduce`) cancels adjacent letters ``c+ c-`` and
 ``c- c+`` until none remain.  It is the map from this monoid onto the free
@@ -107,8 +107,7 @@ class SignedLetter(NamedTuple):
     """A single occurrence ``c_i^sign``; ``gen`` indexes the generator set.
 
     A letter is checked once, when ``SignedWord(gens, letters)`` takes it from
-    a caller; words keep letter codes, and ``SignedWord.letters`` rebuilds
-    letters from them.
+    a caller; words keep letter codes, not letters.
     """
 
     gen: int
@@ -144,11 +143,6 @@ class SignedWord:
         object.__setattr__(word, "gens", gens)
         object.__setattr__(word, "codes", codes)
         return word
-
-    @property
-    def letters(self) -> tuple[SignedLetter, ...]:
-        """The letters, rebuilt from the codes; hot paths read ``codes``."""
-        return tuple(SignedLetter(c >> 1, MINUS if c & 1 else PLUS) for c in self.codes)
 
     def __len__(self) -> int:
         return len(self.codes)

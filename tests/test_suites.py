@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import flagcalc
-from flagcalc import cli, plane
+from flagcalc import cli, plane, trees
 from flagcalc.abelian import RelationLattice
 from flagcalc.errors import DomainError
 from flagcalc.plane import Point, PuncturedPlane, winding_profile
@@ -16,8 +16,10 @@ from flagcalc.suites import (
     SuiteResult,
     _contractible_square,
     _exact_member,
+    trees_suite,
     verify_group_law,
 )
+from flagcalc.words import SignedWord
 
 
 def test_tick_formats_only_failures():
@@ -47,6 +49,44 @@ def test_exact_member_agrees_with_the_lattice_when_a_row_is_a_sum():
     lattice = RelationLattice.from_rows(rows)
     for vec in product(range(-3, 4), repeat=3):
         assert _exact_member(rows, vec) == lattice.contains(vec), vec
+
+
+def _flip_mismatches(result: SuiteResult) -> int:
+    return sum(detail.startswith("flip mismatch") for detail in result.failures)
+
+
+def test_trees_suite_catches_an_eval_that_negates_deep_taus(monkeypatch):
+    def eval_negating_deep_taus(rooted, gens):
+        """``eval_tree`` with ``tau`` negated on every node at depth 2 or more."""
+
+        def form(tree, sign, depth):
+            if type(tree) is trees.Leaf:
+                return [2 * tree.gen + (sign < 0)]
+            sigma, tau, left, right = tree
+            if depth >= 2:
+                tau = -tau
+            if sign > 0:
+                return form(left, sigma, depth + 1) + form(right, -tau, depth + 1)
+            return form(right, tau, depth + 1) + form(left, -sigma, depth + 1)
+
+        codes = form(rooted.tree, rooted.root_sign, 0)
+        return SignedWord._of_codes(gens, tuple(codes))
+
+    monkeypatch.setattr(trees, "eval_tree", eval_negating_deep_taus)
+    result = trees_suite()
+    assert len(result.failures) == 120_420
+    assert _flip_mismatches(result) == 118_784
+
+
+def test_trees_suite_catches_a_flip_that_keeps_the_signs(monkeypatch):
+    def flip_children_only(node):
+        sigma, tau, left, right = node
+        return trees.Node(sigma, tau, right, left)
+
+    monkeypatch.setattr(trees, "flip", flip_children_only)
+    result = trees_suite()
+    assert len(result.failures) == 60_206
+    assert _flip_mismatches(result) == 60_008
 
 
 ONE_PUNCTURE = PuncturedPlane((Point.of(0, 0),))

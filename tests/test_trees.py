@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import pytest
@@ -135,7 +136,7 @@ class TestEval:
         assert eval_tree(RootedPresentation(Leaf(0), MINUS), GENS) == w("a-")
 
     def test_leaf_outside_the_generator_set_is_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="letter index 2 out of range for 2 generators"):
             eval_tree(RootedPresentation(Leaf(2)), GENS)
 
     @pytest.mark.parametrize(
@@ -169,6 +170,23 @@ class TestFlip:
     def test_flip_swaps_slots_and_children(self):
         node = Node(PLUS, MINUS, Leaf(0), Leaf(1))
         assert flip(node) == Node(MINUS, PLUS, Leaf(1), Leaf(0))
+
+
+class TestAllTrees:
+    @pytest.mark.parametrize("n_gens", [1, 2])
+    @pytest.mark.parametrize("n_leaves", [1, 2, 3, 4, 5])
+    def test_counts_shapes_labels_and_sign_pairs(self, n_leaves, n_gens):
+        shapes = math.comb(2 * (n_leaves - 1), n_leaves - 1) // n_leaves  # Catalan(n-1)
+        expected = shapes * n_gens**n_leaves * 4 ** (n_leaves - 1)
+        assert sum(1 for _ in all_trees(n_leaves, n_gens)) == expected
+
+    def test_yields_each_tree_once(self):
+        assert len(set(all_trees(4, 2))) == sum(1 for _ in all_trees(4, 2))
+
+    @pytest.mark.parametrize("n_leaves, n_gens", [(0, 2), (2, 0)])
+    def test_bad_arguments_raise_at_the_call(self, n_leaves, n_gens):
+        with pytest.raises(DomainError):
+            all_trees(n_leaves, n_gens)  # no next(): the call itself raises
 
 
 class TestWordToTree:
