@@ -3,14 +3,16 @@
 Three layers, each a monoid homomorphism out of the previous one:
 
 * :func:`multiset_quotient` forgets letter order, keeping one count per
-  signed generator;
+  letter code: ``2k`` counts with ``#c_i+`` at ``2i`` and ``#c_i-`` at
+  ``2i + 1``, the order :func:`format_multiset` prints;
 * :func:`abelianize` keeps only the difference ``#c_i+  -  #c_i-`` per
   generator, counted straight from the word's letter codes;
 * :meth:`RelationLattice.reduce` reduces an integer vector modulo the row
   lattice of a relation matrix, yielding a canonical coset representative.
 
-Vectors are plain ``tuple[int, ...]``s, one entry per generator, the type
-:func:`flagcalc.plane.winding_profile` gives a loop's image in H_1.
+Multisets and vectors are plain ``tuple[int, ...]``s.  A vector has one
+entry per generator, the type :func:`flagcalc.plane.winding_profile` gives a
+loop's image in H_1.
 
 Lattice reduction uses an integer Hermite-style echelon basis computed once
 per lattice; all arithmetic is arbitrary-precision, so there is no overflow
@@ -25,47 +27,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, ParseError
-from .words import GeneratorSet, SignedWord, sign_char
+from .words import GeneratorSet, SignedWord, letter_tokens
 
 
-@dataclass(frozen=True)
-class SignedMultiset:
-    """Occurrence counts of ``c_i+`` and ``c_i-`` for each generator."""
-
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.plus) != len(self.minus):
-            raise DomainError("plus and minus count vectors must have equal length")
-        if any(c < 0 for c in self.plus + self.minus):
-            raise DomainError("multiset counts must be nonnegative")
-
-    @classmethod
-    def _of_counts(cls, plus: tuple[int, ...], minus: tuple[int, ...]) -> "SignedMultiset":
-        """The multiset of counts already known to be nonnegative and of one length."""
-        ms = object.__new__(cls)
-        object.__setattr__(ms, "plus", plus)
-        object.__setattr__(ms, "minus", minus)
-        return ms
-
-    def __add__(self, other: "SignedMultiset") -> "SignedMultiset":
-        if not isinstance(other, SignedMultiset):
-            return NotImplemented
-        if len(other.plus) != len(self.plus):
-            raise DomainError("cannot add multisets of different dimensions")
-        return SignedMultiset._of_counts(
-            tuple(a + b for a, b in zip(self.plus, other.plus)),
-            tuple(a + b for a, b in zip(self.minus, other.minus)),
-        )
-
-
-def multiset_quotient(word: SignedWord) -> SignedMultiset:
-    """Forget letter order; additive over concatenation."""
+def multiset_quotient(word: SignedWord) -> tuple[int, ...]:
+    """Forget letter order: one count per letter code, additive over concatenation."""
     counts = [0] * (2 * len(word.gens))
     for code in word.codes:
         counts[code] += 1
-    return SignedMultiset._of_counts(tuple(counts[0::2]), tuple(counts[1::2]))
+    return tuple(counts)
 
 
 def abelianize(word: SignedWord) -> tuple[int, ...]:
@@ -113,11 +83,6 @@ class RelationLattice:
                 raise DomainError(
                     f"lattice row {row!r} does not have dimension {self.dim}"
                 )
-
-    @classmethod
-    def free(cls, dim: int) -> "RelationLattice":
-        """The zero lattice: no relations at all."""
-        return cls((), dim)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], dim: int | None = None) -> "RelationLattice":
@@ -202,15 +167,12 @@ class RelationLattice:
         return all(x == 0 for x in self.reduce(coords))
 
 
-def format_multiset(ms: SignedMultiset, gens: GeneratorSet) -> str:
-    """Render as ``{a+:2, a-:0, b+:0, b-:1}`` in generator order."""
-    if len(ms.plus) != len(gens):
+def format_multiset(counts: tuple[int, ...], gens: GeneratorSet) -> str:
+    """Render as ``{a+:2, a-:0, b+:0, b-:1}`` in letter-code order."""
+    if len(counts) != 2 * len(gens):
         raise DomainError("multiset dimension does not match generator set")
-    parts = []
-    for i, name in enumerate(gens.names):
-        parts.append(f"{name}{sign_char(1)}:{ms.plus[i]}")
-        parts.append(f"{name}{sign_char(-1)}:{ms.minus[i]}")
-    return "{" + ", ".join(parts) + "}"
+    pairs = zip(letter_tokens(gens), counts)
+    return "{" + ", ".join(f"{token}:{count}" for token, count in pairs) + "}"
 
 
 def format_vector(coords: tuple[int, ...]) -> str:

@@ -261,10 +261,10 @@ class FlaggedLoop:
 
 
 def _over_one_den(
-    loop: FlaggedLoop, plane: PuncturedPlane, den: int = 1
+    loop: FlaggedLoop, plane: PuncturedPlane, *dens: int
 ) -> tuple[int, list[_IntPoint], list[_IntPoint]]:
-    """The lcm of ``den`` and both denominators, and the loop and punctures over it."""
-    den = math.lcm(den, loop._den, plane._den)
+    """The lcm of ``dens`` and both denominators, and the loop and punctures over it."""
+    den = math.lcm(loop._den, plane._den, *dens)
     return den, _times(loop._ints, den // loop._den), _times(plane._ints, den // plane._den)
 
 
@@ -371,8 +371,9 @@ def normalize_flag(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> Fla
     two legs cancel, so every winding number is preserved.  A loop already
     flagged at ``base`` is only rotated into traversal order.
     """
-    den, vertices, punctures = _over_one_den(loop, plane, _lcd((base,)))
-    (b,) = _scale((base,), den)
+    x, y = base.x, base.y
+    den, vertices, punctures = _over_one_den(loop, plane, x.denominator, y.denominator)
+    b = (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
     if b in punctures:
         raise DomainError("base point coincides with a puncture")
     _check_avoids(vertices, punctures)

@@ -256,7 +256,7 @@ def homology_suite() -> SuiteResult:
             uv = u.concat(v)
             result.tick(
                 abelian.multiset_quotient(uv)
-                == abelian.multiset_quotient(u) + abelian.multiset_quotient(v),
+                == _add(abelian.multiset_quotient(u), abelian.multiset_quotient(v)),
                 "multiset additivity failed on %r, %r",
                 u,
                 v,

@@ -17,10 +17,12 @@ presentation class.
 
 ``Leaf``, ``Node`` and ``RootedPresentation`` are immutable tuple records, so
 they are built, hashed and compared in C.  Their public constructors check
-generator indices and signs; the trees this module derives from checked
-trees (flips, moves, enumerations, word combs and parsed literals) are built
-through ``tuple.__new__`` and not checked again.  Being tuples, records also
-compare equal to plain tuples with the same fields.
+every field: a generator index is a nonnegative ``int``, a sign is ``+1`` or
+``-1``, and a child or tree is a ``Leaf`` or a ``Node``.  The trees this
+module derives from checked trees (flips, moves, enumerations, word combs and
+parsed literals) are built through ``tuple.__new__`` and not checked again.
+Being tuples, records also compare equal to plain tuples with the same
+fields.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class Leaf(_LeafRecord):
     __slots__ = ()
 
     def __new__(cls, gen: int) -> "Leaf":
-        if gen < 0:
-            raise DomainError(f"generator index must be nonnegative, got {gen}")
+        if type(gen) is not int or gen < 0:
+            raise DomainError(f"generator index must be a nonnegative int, got {gen!r}")
         return _new(cls, (gen,))
 
 
@@ -79,12 +81,19 @@ class Node(_NodeRecord):
     ) -> "Node":
         _check_sign(sigma)
         _check_sign(tau)
+        _check_tree(left)
+        _check_tree(right)
         return _new(cls, (sigma, tau, left, right))
 
 
 # Not typing.Union, whose process-wide cache would keep these classes, and so
 # every re-imported copy of this module, alive.
 PairingTree = Leaf | Node
+
+
+def _check_tree(tree: object) -> None:
+    if type(tree) is not Leaf and type(tree) is not Node:
+        raise DomainError(f"a pairing tree is a Leaf or a Node, not {type(tree).__name__}")
 
 
 class _RootedRecord(NamedTuple):
@@ -98,6 +107,7 @@ class RootedPresentation(_RootedRecord):
     __slots__ = ()
 
     def __new__(cls, tree: PairingTree, root_sign: Sign = PLUS) -> "RootedPresentation":
+        _check_tree(tree)
         _check_sign(root_sign)
         return _new(cls, (tree, root_sign))
 
@@ -281,6 +291,8 @@ _PAIR_OPEN = {
 
 def format_tree(rooted: RootedPresentation, gens: GeneratorSet) -> str:
     """Render as ``[<r> <tree>]`` with ``leaf:<name>`` and ``(pair <st> L R)``."""
+    names = gens.names
+    n = len(names)
     parts = [f"[{sign_char(rooted.root_sign)} "]
     stack: list[PairingTree | str] = [rooted.tree]
     while stack:
@@ -288,7 +300,9 @@ def format_tree(rooted: RootedPresentation, gens: GeneratorSet) -> str:
         if type(item) is str:
             parts.append(item)
         elif len(item) == 1:  # a Leaf; ")" and " " are caught above
-            parts.append("leaf:" + gens.names[item[0]])
+            if item[0] >= n:
+                raise DomainError(f"letter index {item[0]} out of range for {n} generators")
+            parts.append("leaf:" + names[item[0]])
         else:
             sigma, tau, left, right = item
             parts.append(_PAIR_OPEN[sigma, tau])

@@ -9,8 +9,8 @@ canonical-choice policy selects which member is the preferred presentation.
 A word stores each letter ``c_i^s`` as the int code ``2*i + (s < 0)``, so
 the involution reverses the codes and flips their low bit, and comparing
 code tuples is the letter order (generator index ascending, then ``+``
-before ``-``).  ``SignedWord(gens, letters)`` takes :class:`SignedLetter`
-pairs and checks them; the word keeps only their codes.
+before ``-``).  ``SignedWord(gens, codes)`` is the one checked constructor:
+it refuses any code that is not an ``int`` in ``range(2 * len(gens))``.
 
 Free reduction (:func:`free_reduce`) cancels adjacent letters ``c+ c-`` and
 ``c- c+`` until none remain.  It is the map from this monoid onto the free
@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
+from typing import Iterable, Iterator, Literal, Mapping
 
 from .errors import DomainError, ParseError, UnknownGeneratorError
 
@@ -103,17 +103,6 @@ class GeneratorSet:
             raise UnknownGeneratorError(name, line=line, column=column) from None
 
 
-class SignedLetter(NamedTuple):
-    """A single occurrence ``c_i^sign``; ``gen`` indexes the generator set.
-
-    A letter is checked once, when ``SignedWord(gens, letters)`` takes it from
-    a caller; words keep letter codes, not letters.
-    """
-
-    gen: int
-    sign: Sign
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class SignedWord:
     """An immutable word over a fixed generator set, one letter code per letter."""
@@ -121,20 +110,16 @@ class SignedWord:
     gens: GeneratorSet
     codes: tuple[int, ...]
 
-    def __init__(self, gens: GeneratorSet, letters: Iterable[SignedLetter] = ()) -> None:
+    def __init__(self, gens: GeneratorSet, codes: Iterable[int] = ()) -> None:
+        codes = tuple(codes)
         n = len(gens)
-        codes = []
-        for gen, sign in letters:
-            if not 0 <= gen < n:
-                raise DomainError(f"letter index {gen} out of range for {n} generators")
-            _check_sign(sign)
-            codes.append(2 * gen + (sign < 0))
+        for code in codes:
+            if type(code) is not int or not 0 <= code < 2 * n:
+                raise DomainError(
+                    f"letter code {code!r} is not an int in range({2 * n}) for {n} generators"
+                )
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "codes", tuple(codes))
-
-    @classmethod
-    def empty(cls, gens: GeneratorSet) -> "SignedWord":
-        return cls._of_codes(gens, ())
+        object.__setattr__(self, "codes", codes)
 
     @classmethod
     def _of_codes(cls, gens: GeneratorSet, codes: tuple[int, ...]) -> "SignedWord":
@@ -302,9 +287,14 @@ def iter_words(gens: GeneratorSet, max_length: int) -> Iterator[SignedWord]:
         yield from words_of_length(gens, n)
 
 
+def letter_tokens(gens: GeneratorSet) -> list[str]:
+    """The token of each letter code in code order: ``a+ a- b+ b- ...``."""
+    return [name + sign for name in gens.names for sign in "+-"]
+
+
 def format_word(word: SignedWord) -> str:
     """Render as ``a+ b-``; the empty word renders as the empty string."""
-    tokens = [name + sign for name in word.gens.names for sign in "+-"]
+    tokens = letter_tokens(word.gens)
     return " ".join([tokens[c] for c in word.codes])
 
 

@@ -35,7 +35,7 @@ from flagcalc.plane import (
     winding_number,
     winding_profile,
 )
-from flagcalc.words import MINUS, PLUS, SignedLetter, SignedWord, free_reduce
+from flagcalc.words import SignedWord, free_reduce
 
 ORIGIN = Point.of(0, 0)
 ONE_PUNCTURE = PuncturedPlane((ORIGIN,))
@@ -277,11 +277,8 @@ class TestCrossingWord:
 
     def test_format(self):
         gens = TWO_PUNCTURES.gens
-        word = SignedWord(
-            gens, (SignedLetter(0, PLUS), SignedLetter(0, PLUS), SignedLetter(1, MINUS))
-        )
-        assert format_free_word(word) == "x1 x1 x2^-1"
-        assert format_free_word(SignedWord.empty(gens)) == ""
+        assert format_free_word(SignedWord(gens, (0, 0, 3))) == "x1 x1 x2^-1"
+        assert format_free_word(SignedWord(gens)) == ""
 
 
 # Punctures close enough that some sampled loops touch one or put a vertex on a

@@ -28,7 +28,6 @@ from flagcalc.words import (
     MINUS,
     PLUS,
     GeneratorSet,
-    SignedLetter,
     SignedWord,
     iter_words,
     parse_word,
@@ -42,11 +41,9 @@ def w(text: str) -> SignedWord:
     return parse_word(text, GENS)
 
 
-letters = st.builds(
-    SignedLetter, st.integers(min_value=0, max_value=2), st.sampled_from((PLUS, MINUS))
-)
 nonempty_words3 = st.builds(
-    lambda ls: SignedWord(GENS3, tuple(ls)), st.lists(letters, min_size=1, max_size=6)
+    lambda codes: SignedWord(GENS3, codes),
+    st.lists(st.integers(0, 5), min_size=1, max_size=6),
 )
 
 
@@ -83,11 +80,26 @@ class TestRecords:
         "build",
         [
             lambda: Leaf(-1),
+            lambda: Leaf(0.5),
             lambda: Node(0, PLUS, Leaf(0), Leaf(1)),
             lambda: Node(PLUS, 2, Leaf(0), Leaf(1)),
+            lambda: Node(PLUS, MINUS, "x", Leaf(0)),
+            lambda: Node(PLUS, MINUS, Leaf(0), "x"),
+            lambda: Node(PLUS, MINUS, Leaf(0), (0,)),
             lambda: RootedPresentation(Leaf(0), 0),
+            lambda: RootedPresentation("x"),
         ],
-        ids=["leaf", "sigma", "tau", "root-sign"],
+        ids=[
+            "leaf",
+            "leaf-type",
+            "sigma",
+            "tau",
+            "left",
+            "right",
+            "plain-tuple",
+            "root-sign",
+            "tree",
+        ],
     )
     def test_public_constructors_check(self, build):
         with pytest.raises(DomainError):
@@ -136,8 +148,13 @@ class TestEval:
         assert eval_tree(RootedPresentation(Leaf(0), MINUS), GENS) == w("a-")
 
     def test_leaf_outside_the_generator_set_is_rejected(self):
-        with pytest.raises(DomainError, match="letter index 2 out of range for 2 generators"):
-            eval_tree(RootedPresentation(Leaf(2)), GENS)
+        for gen in (2, 5):
+            rooted = RootedPresentation(Leaf(gen))
+            message = f"letter index {gen} out of range for 2 generators"
+            with pytest.raises(DomainError, match=message):
+                eval_tree(rooted, GENS)
+            with pytest.raises(DomainError, match=message):
+                format_tree(rooted, GENS)
 
     @pytest.mark.parametrize(
         "sigma,tau,expected",
@@ -192,7 +209,7 @@ class TestAllTrees:
 class TestWordToTree:
     def test_rejects_empty_word(self):
         with pytest.raises(DomainError):
-            word_to_tree(SignedWord.empty(GENS))
+            word_to_tree(SignedWord(GENS))
 
     def test_single_letter_uses_root_sign(self):
         rooted = word_to_tree(w("a-"))

@@ -12,7 +12,7 @@ from flagcalc.words import (
     CanonicalPolicy,
     GeneratorSet,
     PresentationClass,
-    SignedLetter,
+    Sign,
     SignedWord,
     check_commutation_law,
     class_of,
@@ -32,36 +32,39 @@ def w(text: str) -> SignedWord:
 
 
 signs = st.sampled_from((PLUS, MINUS))
-letters = st.builds(SignedLetter, st.integers(min_value=0, max_value=2), signs)
 signed_words = st.builds(
-    lambda ls: SignedWord(GENS, tuple(ls)), st.lists(letters, max_size=6)
+    lambda codes: SignedWord(GENS, codes), st.lists(st.integers(0, 5), max_size=6)
 )
 
 
-# Words over the first one to three of a, b, c, with the letters they were built from.
-gens_and_letters = st.integers(min_value=1, max_value=3).flatmap(
-    lambda n: st.tuples(
-        st.just(GeneratorSet(("a", "b", "c")[:n])),
-        st.lists(st.builds(SignedLetter, st.integers(0, n - 1), signs), max_size=8),
+def letters_of(word: SignedWord) -> tuple[tuple[int, Sign], ...]:
+    """The ``(generator index, sign)`` letters a word's codes stand for."""
+    return tuple((c >> 1, MINUS if c & 1 else PLUS) for c in word.codes)
+
+
+# Words over the first one to three of a, b, c, with the letters they stand for.
+gens_and_letters = (
+    st.integers(min_value=1, max_value=3)
+    .flatmap(
+        lambda n: st.builds(
+            SignedWord,
+            st.just(GeneratorSet(("a", "b", "c")[:n])),
+            st.lists(st.integers(0, 2 * n - 1), max_size=8),
+        )
     )
+    .map(lambda word: (word, letters_of(word)))
 )
 
 # Words over a and b alone, long enough that adjacent inverse pairs are common.
 AB = GeneratorSet.of("a", "b")
 ab_words = st.builds(
-    lambda ls: SignedWord(AB, tuple(ls)),
-    st.lists(st.builds(SignedLetter, st.integers(0, 1), signs), max_size=10),
+    lambda codes: SignedWord(AB, codes), st.lists(st.integers(0, 3), max_size=10)
 )
-
-
-def letters_of(word: SignedWord) -> tuple[SignedLetter, ...]:
-    """The letters a word's codes stand for."""
-    return tuple(SignedLetter(c >> 1, MINUS if c & 1 else PLUS) for c in word.codes)
 
 
 def old_lex_key(word: SignedWord) -> tuple[tuple[int, int], ...]:
     """Letter order as pairs: generator index ascending, then + before -."""
-    return tuple((l.gen, 0 if l.sign > 0 else 1) for l in letters_of(word))
+    return tuple((gen, 0 if sign > 0 else 1) for gen, sign in letters_of(word))
 
 
 class TestGeneratorSet:
@@ -89,14 +92,18 @@ class TestGeneratorSet:
 
 
 class TestLetterChecks:
-    """A letter is checked when it enters a word."""
+    """A letter's code is checked when it enters a word: an int in ``range(2k)``."""
 
-    @pytest.mark.parametrize(
-        "letter", [SignedLetter(-1, PLUS), SignedLetter(0, 0), SignedLetter(3, MINUS)]
-    )
+    @pytest.mark.parametrize("letter", [(0.5,), (4,), (-1,), ("0",)])
     def test_word_rejects_bad_letters(self, letter):
-        with pytest.raises(DomainError):
-            SignedWord(GENS, (letter,))
+        with pytest.raises(DomainError, match="is not an int in range\\(4\\)"):
+            SignedWord(AB, letter)
+
+    def test_word_keeps_good_codes(self):
+        word = SignedWord(AB, (0, 3))
+        assert word.codes == (0, 3)
+        assert format_word(word) == "a+ b-"
+        assert word == parse_word("a+ b-", AB)
 
 
 class TestParsing:
@@ -106,8 +113,8 @@ class TestParsing:
         assert format_word(word) == "a+ b-"
 
     def test_empty_text_is_empty_word(self):
-        assert parse_word("", GENS) == SignedWord.empty(GENS)
-        assert format_word(SignedWord.empty(GENS)) == ""
+        assert parse_word("", GENS) == SignedWord(GENS)
+        assert format_word(SignedWord(GENS)) == ""
 
     def test_unknown_generator_reports_name(self):
         with pytest.raises(UnknownGeneratorError) as exc:
@@ -143,14 +150,12 @@ class TestInvolution:
     @given(signed_words, signed_words)
     def test_derived_words_match_their_checked_rebuild(self, u, v):
         for derived in (u.involution(), u.concat(v)):
-            assert derived == SignedWord(GENS, letters_of(derived))
+            assert derived == SignedWord(GENS, derived.codes)
 
     @given(gens_and_letters)
     def test_involution_reverses_and_negates_the_letters(self, case):
-        gens, ls = case
-        word = SignedWord(gens, ls)
-        assert letters_of(word) == tuple(ls)
-        expected = tuple(SignedLetter(l.gen, -l.sign) for l in reversed(ls))
+        word, ls = case
+        expected = tuple((gen, -sign) for gen, sign in reversed(ls))
         assert letters_of(word.involution()) == expected
 
     def test_concat_requires_matching_generators(self):
@@ -204,33 +209,30 @@ class TestLetterCodes:
 
     @given(gens_and_letters)
     def test_code_order_is_the_letter_order(self, case):
-        gens, ls = case
-        word = SignedWord(gens, ls)
+        word, _ = case
         anti = word.involution()
         assert (word.codes < anti.codes) == (old_lex_key(word) < old_lex_key(anti))
         assert class_of(word).canonical == min(word, anti, key=old_lex_key)
 
     @given(gens_and_letters)
     def test_format_word_matches_letter_rendering(self, case):
-        gens, ls = case
-        expected = " ".join(gens.names[l.gen] + ("+" if l.sign > 0 else "-") for l in ls)
-        assert format_word(SignedWord(gens, ls)) == expected
+        word, ls = case
+        names = word.gens.names
+        expected = " ".join(names[gen] + ("+" if sign > 0 else "-") for gen, sign in ls)
+        assert format_word(word) == expected
 
     @given(gens_and_letters)
     def test_abelian_shadows_match_letter_counts(self, case):
-        gens, ls = case
-        word = SignedWord(gens, ls)
-        ms = multiset_quotient(word)
-        for i in range(len(gens)):
-            assert ms.plus[i] == sum(1 for l in ls if l.gen == i and l.sign > 0)
-            assert ms.minus[i] == sum(1 for l in ls if l.gen == i and l.sign < 0)
-        expected = tuple(sum(l.sign for l in ls if l.gen == i) for i in range(len(gens)))
+        word, ls = case
+        gen_range = range(len(word.gens))
+        counts = tuple(ls.count((i, sign)) for i in gen_range for sign in (PLUS, MINUS))
+        assert multiset_quotient(word) == counts
+        expected = tuple(sum(s for gen, s in ls if gen == i) for i in gen_range)
         assert abelianize(word) == expected
 
     @given(gens_and_letters)
     def test_class_of_matches_the_checked_constructor(self, case):
-        gens, ls = case
-        word = SignedWord(gens, ls)
+        word, _ = case
         anti = word.involution()
         explicit = CanonicalPolicy("explicit", {word: anti})
         for policy in (LEX_LEAST, explicit):
@@ -259,7 +261,7 @@ class TestLetterCodes:
 
 class TestFreeReduce:
     def test_reduction(self):
-        assert free_reduce(w("a+ a-")) == SignedWord.empty(GENS)
+        assert free_reduce(w("a+ a-")) == SignedWord(GENS)
         assert free_reduce(w("a+ b+ b- a+")) == w("a+ a+")
         assert free_reduce(w("a+ b- b- c+ c- b+ a-")) == w("a+ b- a-")
 
