@@ -76,13 +76,15 @@ class RelationLattice:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DomainError("lattice dimension must be at least 1")
+        if type(self.dim) is not int or self.dim < 1:
+            raise DomainError(f"lattice dimension must be an int >= 1, not {self.dim!r}")
         for row in self.rows:
             if len(row) != self.dim:
                 raise DomainError(
                     f"lattice row {row!r} does not have dimension {self.dim}"
                 )
+            if any(type(x) is not int for x in row):
+                raise DomainError(f"lattice row {row!r} has an entry that is not an int")
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], dim: int | None = None) -> "RelationLattice":
@@ -90,7 +92,7 @@ class RelationLattice:
             if not rows:
                 raise DomainError("cannot infer dimension from an empty row list")
             dim = len(rows[0])
-        return cls(tuple(tuple(int(x) for x in row) for row in rows), dim)
+        return cls(tuple(map(tuple, rows)), dim)
 
     @cached_property
     def _echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -6,7 +6,8 @@ deterministic: no timestamps, no hash-ordered iteration, seeds are explicit
 arguments.  Exit codes: 0 success, 1 domain error (also failed check
 sweeps), 2 syntax error.  Error text goes to stderr prefixed ``error:``.
 
-Sessions hold the declared generator set, the canonical-choice policy, an
+Sessions hold the declared generator set, the preferred words that ``class``
+and ``pair`` print as canonical (the ``canon`` lines of a session file), an
 optional relation lattice, an optional punctured plane, and named bindings.
 ``save``/``load`` serialize all of that losslessly as a line-oriented text
 file reusing the same literal grammars the commands accept.
@@ -41,7 +42,7 @@ class Session:
     """Mutable shell state threaded through :func:`run_command`."""
 
     gens: words.GeneratorSet | None = None
-    policy: words.CanonicalPolicy = words.LEX_LEAST
+    canon: frozenset[words.SignedWord] = frozenset()
     lattice: abelian.RelationLattice | None = None
     plane: planes.PuncturedPlane | None = None
     bindings: dict[str, Binding] = field(default_factory=dict)
@@ -158,7 +159,7 @@ def _cmd_gens(session: Session, args: list[str]) -> tuple[str, int]:
     if not args:
         raise ParseError("usage: gens <name> [<name> ...]")
     session.gens = words.GeneratorSet.of(*args)
-    session.policy = words.LEX_LEAST
+    session.canon = frozenset()
     _drop_bindings(session, (words.SignedWord, trees.RootedPresentation))
     return "generators: " + " ".join(session.gens.names), 0
 
@@ -170,7 +171,7 @@ def _cmd_inv(session: Session, args: list[str]) -> tuple[str, int]:
 
 def _cmd_class(session: Session, args: list[str]) -> tuple[str, int]:
     cls = words.class_of(
-        _resolve_word(session, _joined(args, "class <word>")), session.policy
+        _resolve_word(session, _joined(args, "class <word>")), session.canon
     )
     return (
         f"canonical: {words.format_word(cls.canonical)}\n"
@@ -182,8 +183,8 @@ def _cmd_class(session: Session, args: list[str]) -> tuple[str, int]:
 def _cmd_pair(session: Session, args: list[str]) -> tuple[str, int]:
     _arity(args, 3, "pair <st> <word> <word> (quote multi-letter words)")
     sigma, tau = words.parse_sign_pair(args[0])
-    a = words.class_of(_resolve_word(session, args[1]), session.policy)
-    b = words.class_of(_resolve_word(session, args[2]), session.policy)
+    a = words.class_of(_resolve_word(session, args[1]), session.canon)
+    b = words.class_of(_resolve_word(session, args[2]), session.canon)
     return words.format_word(words.pair(a, sigma, tau, b)), 0
 
 
@@ -348,7 +349,7 @@ def _cmd_load(session: Session, args: list[str]) -> tuple[str, int]:
     _arity(args, 1, "load <file>")
     loaded = _parse_session_text(_read_file(args[0]))
     session.gens = loaded.gens
-    session.policy = loaded.policy
+    session.canon = loaded.canon
     session.lattice = loaded.lattice
     session.plane = loaded.plane
     session.bindings = loaded.bindings
@@ -410,14 +411,12 @@ def _session_text(session: Session) -> str:
     lines: list[str] = []
     if session.gens is not None:
         lines.append("gens " + " ".join(session.gens.names))
-    if session.policy.mode == "lex":
-        lines.append("policy lex")
-    else:
+    if session.canon:
         lines.append("policy explicit")
-        choices = sorted(
-            {words.format_word(choice) for choice in session.policy.overrides.values()}
-        )
+        choices = sorted(words.format_word(choice) for choice in session.canon)
         lines.extend(f"canon {choice}".rstrip() for choice in choices)
+    else:
+        lines.append("policy lex")
     if session.lattice is not None:
         lines.append(f"lattice {len(session.lattice.rows)} {session.lattice.dim}")
         lines.extend(abelian.format_lattice(session.lattice).splitlines())
@@ -438,7 +437,7 @@ def _session_text(session: Session) -> str:
 def _parse_session_text(text: str) -> Session:
     session = Session()
     policy_mode: str | None = None
-    overrides: dict[words.SignedWord, words.SignedWord] = {}
+    canon: set[words.SignedWord] = set()
     seen: set[str] = set()
     lines = text.splitlines()
     i = 0
@@ -471,8 +470,7 @@ def _parse_session_text(text: str) -> Session:
                 gens = session.gens
                 if gens is None:
                     raise DomainError("'canon' line before any 'gens' line")
-                choice = words.parse_word(rest, gens, line=lineno)
-                overrides[choice] = choice
+                canon.add(words.parse_word(rest, gens, line=lineno))
             elif head == "lattice":
                 # The header's fields, after "lattice", with their columns.
                 fields = list(re.finditer(r"\S+", lines[lineno - 1].split("#", 1)[0]))[1:]
@@ -551,8 +549,8 @@ def _parse_session_text(text: str) -> Session:
         except DomainError as exc:
             raise ParseError(str(exc), line=lineno) from None
     if policy_mode == "explicit":
-        session.policy = words.CanonicalPolicy("explicit", overrides)
-    elif overrides:
+        session.canon = frozenset(canon)
+    elif canon:
         raise ParseError("'canon' lines require 'policy explicit'")
     return session
 

@@ -172,7 +172,8 @@ def assoc_suite() -> SuiteResult:
     ]
 
     def keep_product(x: words.PresentationClass, y: words.PresentationClass):
-        return words.PresentationClass.from_canonical(words.pair(x, PLUS, MINUS, y))
+        product = words.pair(x, PLUS, MINUS, y)
+        return words.class_of(product, (product,))
 
     for a in classes:
         for b in classes:

@@ -3,8 +3,9 @@
 A word is a finite sequence of letters ``c+`` / ``c-`` drawn from a declared
 generator set; the empty word is the monoid identity.  Reversing a word and
 negating every sign is an involutive anti-automorphism.  Each word and its
-involution form an unordered two-element fiber, a *presentation class*; a
-canonical-choice policy selects which member is the preferred presentation.
+involution form an unordered two-element fiber, a *presentation class*.
+Which member is printed as canonical is a display choice: :func:`class_of`
+takes the lex-least member unless the caller names preferred words.
 
 A word stores each letter ``c_i^s`` as the int code ``2*i + (s < 0)``, so
 the involution reverses the codes and flips their low bit, and comparing
@@ -14,7 +15,7 @@ it refuses any code that is not an ``int`` in ``range(2 * len(gens))``.
 
 Free reduction (:func:`free_reduce`) cancels adjacent letters ``c+ c-`` and
 ``c- c+`` until none remain.  It is the map from this monoid onto the free
-group on the generators: ``SignedWord.__mul__`` is the monoid's
+group on the generators: ``SignedWord.concat`` is the monoid's
 concatenation, and the free-group product of ``u`` and ``v`` is
 ``free_reduce(u.concat(v))``.  On a punctured plane's crossing words
 (:func:`flagcalc.plane.crossing_word`) the free group is the plane's
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Mapping
+from dataclasses import dataclass
+from typing import Collection, Iterable, Iterator, Literal
 
 from .errors import DomainError, ParseError, UnknownGeneratorError
 
@@ -111,6 +112,8 @@ class SignedWord:
     codes: tuple[int, ...]
 
     def __init__(self, gens: GeneratorSet, codes: Iterable[int] = ()) -> None:
+        if not isinstance(gens, GeneratorSet):
+            raise DomainError(f"gens must be a GeneratorSet, got {type(gens).__name__}")
         codes = tuple(codes)
         n = len(gens)
         for code in codes:
@@ -143,11 +146,6 @@ class SignedWord:
             raise DomainError("cannot concatenate words over different generator sets")
         return SignedWord._of_codes(self.gens, self.codes + other.codes)
 
-    def __mul__(self, other: object) -> "SignedWord":
-        if not isinstance(other, SignedWord):
-            return NotImplemented
-        return self.concat(other)
-
     def involution(self) -> "SignedWord":
         """Reverse the word and negate every sign (an anti-automorphism)."""
         return SignedWord._of_codes(self.gens, tuple(c ^ 1 for c in reversed(self.codes)))
@@ -168,65 +166,28 @@ def free_reduce(word: SignedWord) -> SignedWord:
     return SignedWord._of_codes(word.gens, tuple(out))
 
 
-@dataclass(frozen=True)
-class CanonicalPolicy:
-    """Rule selecting the canonical member of a ``{w, involution(w)}`` fiber.
-
-    ``lex`` mode picks the lexicographically least member.  ``explicit`` mode
-    consults an override table first (keyed by either fiber member, valued by
-    the chosen one) and falls back to ``lex`` for fibers it does not mention.
-    """
-
-    mode: Literal["lex", "explicit"] = "lex"
-    overrides: Mapping[SignedWord, SignedWord] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("lex", "explicit"):
-            raise DomainError(f"unknown policy mode {self.mode!r}")
-        for key, choice in self.overrides.items():
-            if choice != key and choice != key.involution():
-                raise DomainError(
-                    f"override for {str(key)!r} must pick the word or its involution"
-                )
-
-    def _order(
-        self, word: SignedWord, anti: SignedWord
-    ) -> tuple[SignedWord, SignedWord]:
-        """The fiber ``{word, anti}`` as ``(canonical, other member)``."""
-        if self.mode == "explicit":
-            choice = self.overrides.get(word)
-            if choice is None:
-                choice = self.overrides.get(anti)
-            if choice is not None:
-                return (word, anti) if choice == word else (anti, word)
-        return (anti, word) if anti.codes < word.codes else (word, anti)
-
-
-LEX_LEAST = CanonicalPolicy()
-
-
 @dataclass(frozen=True, eq=False)
 class PresentationClass:
     """Unordered fiber ``{canonical, anti}`` with a distinguished member.
 
     Equality and hashing treat the fiber as an unordered pair, so two classes
-    built under different policies from the same underlying word compare
-    equal.  A class is *degenerate* when the word is fixed by the involution
-    (for example ``a+ a-``); the fiber then has a single element and the flag
-    is reported rather than the input rejected.
+    of the same word with different canonical members compare equal.  A class
+    is *degenerate* when the word is fixed by the involution (for example
+    ``a+ a-``); the fiber then has a single element and the flag is reported
+    rather than the input rejected.
     """
 
     canonical: SignedWord
     anti: SignedWord
 
     def __post_init__(self) -> None:
+        for member in (self.canonical, self.anti):
+            if not isinstance(member, SignedWord):
+                raise DomainError(
+                    f"class members must be SignedWords, got {type(member).__name__}"
+                )
         if self.anti != self.canonical.involution():
             raise DomainError("anti presentation must be the involution of canonical")
-
-    @classmethod
-    def from_canonical(cls, word: SignedWord) -> "PresentationClass":
-        """The class with ``word`` canonical; its involution ``anti`` needs no check."""
-        return cls._of_fiber(word, word.involution())
 
     @classmethod
     def _of_fiber(cls, canonical: SignedWord, anti: SignedWord) -> "PresentationClass":
@@ -246,7 +207,8 @@ class PresentationClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PresentationClass):
             return NotImplemented
-        return self.members() == other.members()
+        # ``anti`` is the involution of ``canonical``, so one member decides.
+        return other.canonical == self.canonical or other.canonical == self.anti
 
     def __hash__(self) -> int:
         return hash(self.members())
@@ -255,9 +217,16 @@ class PresentationClass:
         return f"{{{format_word(self.canonical)} | {format_word(self.anti)}}}"
 
 
-def class_of(word: SignedWord, policy: CanonicalPolicy = LEX_LEAST) -> PresentationClass:
-    """Presentation class of ``word`` with the policy-chosen canonical member."""
-    return PresentationClass._of_fiber(*policy._order(word, word.involution()))
+def class_of(word: SignedWord, preferred: Collection[SignedWord] = ()) -> PresentationClass:
+    """Presentation class of ``word``.
+
+    The canonical member is ``word`` if it is in ``preferred``, else its
+    involution if that is, else the lexicographically least member.
+    """
+    anti = word.involution()
+    if word not in preferred and (anti in preferred or anti.codes < word.codes):
+        word, anti = anti, word
+    return PresentationClass._of_fiber(word, anti)
 
 
 def pair(a: PresentationClass, sigma: Sign, tau: Sign, b: PresentationClass) -> SignedWord:

@@ -94,6 +94,19 @@ class TestAbelianVector:
 
 
 class TestRelationLattice:
+    @pytest.mark.parametrize(
+        "rows, dim",
+        [(((0.5, 0),), 2), (((1, "0"),), 2), (((True, 0),), 2), ((), 2.5), ((), "2")],
+    )
+    def test_constructor_refuses_entries_and_dims_that_are_not_ints(self, rows, dim):
+        with pytest.raises(DomainError, match="not an int|must be an int"):
+            RelationLattice(rows, dim)
+
+    @pytest.mark.parametrize("row", [[0.5, 0], [1.0, 0], [1, "0"]])
+    def test_from_rows_refuses_entries_that_are_not_ints(self, row):
+        with pytest.raises(DomainError, match="has an entry that is not an int"):
+            RelationLattice.from_rows([row])
+
     def test_free_lattice_reduces_nothing(self):
         free = RelationLattice((), 2)
         assert free.reduce((4, -7)) == (4, -7)

@@ -280,6 +280,33 @@ class TestSessionPersistence:
         run(session, f"save {out_path}")
         assert "canon b- a-" in out_path.read_text()
 
+    def test_explicit_policy_without_canon_lines_saves_as_lex(self, tmp_path):
+        path, saved = tmp_path / "in.session", tmp_path / "out.session"
+        path.write_text("gens a b\npolicy explicit\n")
+        out, err, code = script_output(f"load {path}\nclass b- a-\nsave {saved}\n")
+        assert (err, code) == ("", 0)
+        assert out.splitlines()[1] == "canonical: a+ b+"
+        assert saved.read_text() == "gens a b\npolicy lex\n"
+
+    @pytest.mark.parametrize("policy", ["policy lex\n", ""])
+    def test_canon_lines_require_policy_explicit(self, tmp_path, policy):
+        path = tmp_path / "canon.session"
+        path.write_text(f"gens a b\n{policy}canon b- a-\n")
+        _, _, err, code = run(Session(), f"load {path}")
+        assert (err, code) == ("1:1: 'canon' lines require 'policy explicit'", 2)
+
+    def test_canon_lines_choose_the_printed_member_until_gens(self, tmp_path):
+        path = tmp_path / "canon.session"
+        path.write_text("gens a b\npolicy explicit\ncanon b- a-\ncanon b-\n")
+        out, err, code = script_output(
+            f"load {path}\nclass a+ b+\npair +- 'a+ b+' b-\n"
+            "gens a b\nclass a+ b+\npair +- 'a+ b+' b-\n"
+        )
+        assert (err, code) == ("", 0)
+        lines = out.splitlines()
+        assert lines[1] == "canonical: b- a-" and lines[4] == "b- a- b-"
+        assert lines[6] == "canonical: a+ b+" and lines[9] == "a+ b+ b+"
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -6,10 +6,8 @@ from flagcalc import words
 from flagcalc.abelian import abelianize, multiset_quotient
 from flagcalc.errors import DomainError, ParseError, UnknownGeneratorError
 from flagcalc.words import (
-    LEX_LEAST,
     MINUS,
     PLUS,
-    CanonicalPolicy,
     GeneratorSet,
     PresentationClass,
     Sign,
@@ -98,6 +96,11 @@ class TestLetterChecks:
     def test_word_rejects_bad_letters(self, letter):
         with pytest.raises(DomainError, match="is not an int in range\\(4\\)"):
             SignedWord(AB, letter)
+
+    @pytest.mark.parametrize("gens", ["ab", ("a", "b"), None])
+    def test_word_rejects_gens_that_are_not_a_generator_set(self, gens):
+        with pytest.raises(DomainError, match="gens must be a GeneratorSet"):
+            SignedWord(gens, (0, 1))
 
     def test_word_keeps_good_codes(self):
         word = SignedWord(AB, (0, 3))
@@ -198,6 +201,20 @@ class TestPresentationClass:
         with pytest.raises(DomainError):
             PresentationClass(w("a+"), w("a+"))
 
+    @pytest.mark.parametrize(
+        "canonical, anti", [("a+", "a-"), (w("a+"), "a-"), (None, w("a-"))]
+    )
+    def test_members_must_be_words(self, canonical, anti):
+        with pytest.raises(DomainError, match="class members must be SignedWords"):
+            PresentationClass(canonical, anti)
+
+    @given(signed_words, signed_words)
+    def test_equality_is_equality_of_fibers(self, u, v):
+        a = class_of(u, {u})
+        for b in (class_of(v), class_of(u), class_of(u.involution(), {u.involution()})):
+            assert (a == b) == (a.members() == b.members())
+            assert a != b or hash(a) == hash(b)
+
     def test_signed_form_selects_member(self):
         cls = class_of(w("b- a-"))
         assert cls.canonical == w("a+ b+")
@@ -234,17 +251,16 @@ class TestLetterCodes:
     def test_class_of_matches_the_checked_constructor(self, case):
         word, _ = case
         anti = word.involution()
-        explicit = CanonicalPolicy("explicit", {word: anti})
-        for policy in (LEX_LEAST, explicit):
-            cls = class_of(word, policy)
+        for preferred in ((), {anti}):
+            cls = class_of(word, preferred)
             assert PresentationClass(cls.canonical, cls.anti) == cls
             assert {cls.canonical, cls.anti} == {word, anti}
-        assert class_of(word, explicit).canonical == anti
+        assert class_of(word, {anti}).canonical == anti
 
     @pytest.mark.parametrize("text", ["a+ b-", "a+ a-", ""])
     def test_class_of_makes_one_involution(self, monkeypatch, text):
         word = w(text)
-        policy = CanonicalPolicy("explicit", {word.involution(): word})
+        preferred = {word.involution()}
         calls = []
         original = SignedWord.involution
 
@@ -253,7 +269,7 @@ class TestLetterCodes:
             return original(self)
 
         monkeypatch.setattr(SignedWord, "involution", counted)
-        for chosen in (LEX_LEAST, policy):
+        for chosen in ((), preferred):
             calls.clear()
             class_of(word, chosen)
             assert calls == [word]
@@ -298,20 +314,24 @@ class TestFreeReduce:
 
 
 class TestCanonicalPolicy:
+    """``class_of`` makes a preferred member canonical, else the lex-least one."""
+
     def test_explicit_choice_wins_over_lex(self):
-        policy = CanonicalPolicy("explicit", {w("b- a-"): w("b- a-")})
-        assert class_of(w("a+ b+"), policy).canonical == w("b- a-")
+        assert class_of(w("a+ b+"), {w("b- a-")}).canonical == w("b- a-")
 
     def test_lookup_works_from_either_member(self):
-        policy = CanonicalPolicy("explicit", {w("b- a-"): w("b- a-")})
-        assert class_of(w("b- a-"), policy).canonical == w("b- a-")
+        assert class_of(w("b- a-"), {w("b- a-")}).canonical == w("b- a-")
 
-    def test_override_must_pick_a_fiber_member(self):
-        with pytest.raises(DomainError):
-            CanonicalPolicy("explicit", {w("a+"): w("b+")})
+    def test_the_word_wins_when_both_members_are_preferred(self):
+        preferred = {w("a+ b+"), w("b- a-")}
+        assert class_of(w("b- a-"), preferred).canonical == w("b- a-")
+        assert class_of(w("a+ b+"), preferred).canonical == w("a+ b+")
+
+    def test_a_preferred_word_outside_the_fiber_changes_nothing(self):
+        assert class_of(w("b- a-"), {w("b+")}).canonical == w("a+ b+")
 
     def test_default_policy_is_lex_least(self):
-        assert class_of(w("b- a-"), LEX_LEAST).canonical == w("a+ b+")
+        assert class_of(w("b- a-"), ()).canonical == w("a+ b+")
         assert class_of(w("b- a-")).canonical == w("a+ b+")
 
 
