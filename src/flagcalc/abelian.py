@@ -157,6 +157,8 @@ class RelationLattice:
             raise DomainError(
                 f"vector of dimension {len(coords)} against lattice of dimension {self.dim}"
             )
+        if any(type(x) is not int for x in coords):
+            raise DomainError(f"vector {coords!r} has an entry that is not an int")
         basis, pivots = self._echelon
         v = list(coords)
         for brow, j in zip(basis, pivots):

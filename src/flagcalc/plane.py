@@ -181,7 +181,11 @@ class FlaggedLoop:
     The loop keeps its vertices as integer pairs over their least common
     denominator, which is what the predicates read; ``vertices`` builds the
     :class:`Point` tuple from them on first access.  Loops are immutable and
-    compare and hash by value.
+    compare and hash by value.  A loop also remembers its last
+    :func:`normalize_flag` result, with the base and plane it was made for,
+    so a loop summed several times at one base is rerouted once; like the
+    ``Point`` tuple, that memo takes no part in ``==``, ``hash``, ``repr`` or
+    pickling.
 
     ``FlaggedLoop(vertices, flag_vertex, traversal)`` checks every condition
     above.  The loops that :func:`normalize_flag` and :func:`connected_sum`
@@ -194,6 +198,7 @@ class FlaggedLoop:
     flag_vertex: int
     traversal: str
     _vertices: tuple[Point, ...] | None = field(compare=False)
+    _based: tuple[Point, PuncturedPlane, FlaggedLoop] | None = field(compare=False)
 
     def __init__(
         self, vertices: Sequence[Point], flag_vertex: int, traversal: str = "F"
@@ -238,6 +243,7 @@ class FlaggedLoop:
         object.__setattr__(self, "flag_vertex", flag_vertex)
         object.__setattr__(self, "traversal", traversal)
         object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_based", None)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -370,7 +376,15 @@ def normalize_flag(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> Fla
     Appends a there-and-back corridor from the current flag to ``base``; the
     two legs cancel, so every winding number is preserved.  A loop already
     flagged at ``base`` is only rotated into traversal order.
+
+    ``loop`` keeps the result with ``base`` and ``plane``, one entry, and
+    returns it for an equal ``base`` on the same ``plane`` without redoing
+    the puncture checks or the corridor search.  A call that raises stores
+    nothing.
     """
+    based = loop._based
+    if based is not None and (based[0] is base or based[0] == base) and based[1] is plane:
+        return based[2]
     x, y = base.x, base.y
     den, vertices, punctures = _over_one_den(loop, plane, x.denominator, y.denominator)
     b = (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
@@ -380,16 +394,19 @@ def normalize_flag(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> Fla
     walk = _walk(vertices, loop.flag_vertex, loop.traversal)
     if walk[0] == b:
         rotated = _walk(list(loop._ints), loop.flag_vertex, loop.traversal)
-        return FlaggedLoop._of_ints(loop._den, rotated, 0, "F")
-    w0 = walk[0]
-    # The result needs no loop check: b != w0, and q lies off the line w0-b.
-    m, q = _detour_point(w0, b, punctures)
-    ints = _times([b, *walk, w0], m)
-    ints.append(q)
-    den *= m
-    # ``den`` covers the punctures too; the loop keeps the least one.
-    g = math.gcd(den, *chain.from_iterable(ints))
-    return FlaggedLoop._of_ints(den // g, [(x // g, y // g) for x, y in ints], 0, "F")
+        moved = FlaggedLoop._of_ints(loop._den, rotated, 0, "F")
+    else:
+        w0 = walk[0]
+        # The result needs no loop check: b != w0, and q lies off the line w0-b.
+        m, q = _detour_point(w0, b, punctures)
+        ints = _times([b, *walk, w0], m)
+        ints.append(q)
+        den *= m
+        # ``den`` covers the punctures too; the loop keeps the least one.
+        g = math.gcd(den, *chain.from_iterable(ints))
+        moved = FlaggedLoop._of_ints(den // g, [(x // g, y // g) for x, y in ints], 0, "F")
+    object.__setattr__(loop, "_based", (base, plane, moved))
+    return moved
 
 
 def connected_sum(

@@ -80,11 +80,15 @@ class GeneratorSet:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if type(self.names) is not tuple:
+            raise DomainError(
+                f"generator names must be a tuple of str, not {type(self.names).__name__}"
+            )
         if not self.names:
             raise DomainError("generator set must contain at least one name")
         seen: set[str] = set()
         for name in self.names:
-            if not _NAME_RE.fullmatch(name):
+            if type(name) is not str or not _NAME_RE.fullmatch(name):
                 raise DomainError(f"invalid generator name {name!r}")
             if name in seen:
                 raise DomainError(f"duplicate generator name {name!r}")
@@ -141,7 +145,7 @@ class SignedWord:
     def concat(self, other: "SignedWord") -> "SignedWord":
         """Concatenation; both operands must share one generator set."""
         if not isinstance(other, SignedWord):
-            raise TypeError(f"cannot concatenate SignedWord with {type(other).__name__}")
+            raise DomainError(f"cannot concatenate SignedWord with {type(other).__name__}")
         if other.gens != self.gens:
             raise DomainError("cannot concatenate words over different generator sets")
         return SignedWord._of_codes(self.gens, self.codes + other.codes)

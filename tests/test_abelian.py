@@ -158,6 +158,13 @@ class TestRelationLattice:
         with pytest.raises(DomainError):
             lat.reduce((1, 2, 3))
 
+    @pytest.mark.parametrize("vec", [(3.5, 0), (2.0, 0), (True, 0)])
+    def test_reduce_and_contains_refuse_entries_that_are_not_ints(self, vec):
+        lat = RelationLattice.from_rows([[2, 0]])
+        for method in (lat.reduce, lat.contains):
+            with pytest.raises(DomainError, match="has an entry that is not an int"):
+                method(vec)
+
     @given(vectors3)
     def test_reduce_is_idempotent(self, vec):
         lat = RelationLattice.from_rows([[2, 1, 0], [0, 3, 1]])

@@ -208,6 +208,40 @@ class TestNormalizeFlag:
         with pytest.raises(DomainError):
             normalize_flag(CCW_SQUARE, ORIGIN, ONE_PUNCTURE)
 
+    @pytest.mark.parametrize(
+        "plane", [ONE_PUNCTURE, TWO_PUNCTURES, GOLDEN_PLANE], ids=["one", "two", "three"]
+    )
+    def test_remembered_moves_match_a_fresh_loop(self, plane):
+        a, b = DEFAULT_BASE_POINTS[:2]
+        # The third base equals the first without being the same object.
+        bases = (a, b, Point(a.x, a.y))
+        for loop in sample_loops(plane, 20, seed=19):
+            for base in bases:
+                fresh = FlaggedLoop(loop.vertices, loop.flag_vertex, loop.traversal)
+                assert _outcome(lambda: normalize_flag(loop, base, plane)) == _outcome(
+                    lambda: normalize_flag(fresh, base, plane)
+                )
+            fresh = FlaggedLoop(loop.vertices, loop.flag_vertex, loop.traversal)
+            assert loop == fresh and hash(loop) == hash(fresh)
+            assert repr(loop) == repr(fresh)
+            copy = pickle.loads(pickle.dumps(loop))
+            assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+            assert pickle.dumps(loop) == pickle.dumps(fresh)
+
+    def test_a_refused_move_is_not_remembered(self):
+        loop = FlaggedLoop(CCW_SQUARE.vertices, 0)
+        moved = normalize_flag(loop, self.BASE, ONE_PUNCTURE)
+        with pytest.raises(DomainError, match="base point coincides"):
+            normalize_flag(loop, ORIGIN, ONE_PUNCTURE)
+        assert normalize_flag(loop, self.BASE, ONE_PUNCTURE) is moved
+
+    def test_another_plane_is_checked_again(self):
+        loop = FlaggedLoop(CCW_SQUARE.vertices, 0)
+        normalize_flag(loop, self.BASE, ONE_PUNCTURE)
+        on_edge = PuncturedPlane((Point.of(1, 0),))
+        with pytest.raises(DomainError, match="passes through puncture"):
+            normalize_flag(loop, self.BASE, on_edge)
+
 
 class TestConnectedSum:
     L1 = CCW_SQUARE

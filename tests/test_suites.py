@@ -130,6 +130,22 @@ class TestGroupLawOracle:
         with pytest.raises(DomainError):
             verify_group_law(ONE_PUNCTURE, samples=0, seed=0)
 
+    @pytest.mark.parametrize("samples, seed", [(3, 1), (10, 5)])
+    def test_reroutes_each_loop_once(self, monkeypatch, samples, seed):
+        # The sampled loops and the unit square each search for one corridor;
+        # the sums come out flagged at the base and need none.
+        searches = []
+        search = plane._detour_point
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(plane, "_detour_point", counted)
+        laws = verify_group_law(plane.ORIGIN_PLANE, samples, seed)
+        assert all(law.passed for law in laws)
+        assert len(searches) == samples + 1
+
     def test_reports_failing_laws(self, monkeypatch):
         # Every loop and every sum winds once: sums stop adding and self-sums
         # stop cancelling, while the unit and the bracketings still agree.

@@ -83,6 +83,11 @@ class TestGeneratorSet:
         with pytest.raises(DomainError):
             GeneratorSet.of(name)
 
+    @pytest.mark.parametrize("names", ["ab", ["a", "b"], ("a", 1), (b"a",)])
+    def test_rejects_names_that_are_not_a_tuple_of_str(self, names):
+        with pytest.raises(DomainError, match="must be a tuple of str|invalid generator name"):
+            GeneratorSet(names)
+
     def test_unknown_name_lookup(self):
         with pytest.raises(UnknownGeneratorError) as info:
             GENS.index("q", line=3, column=5)
@@ -165,6 +170,11 @@ class TestInvolution:
         other = GeneratorSet.of("a")
         with pytest.raises(DomainError):
             w("a+").concat(parse_word("a+", other))
+
+    @pytest.mark.parametrize("other", ["a+", (0,), None])
+    def test_concat_refuses_an_operand_that_is_not_a_word(self, other):
+        with pytest.raises(DomainError, match="cannot concatenate SignedWord with"):
+            w("a+").concat(other)
 
 
 class TestPresentationClass:
