@@ -6,7 +6,6 @@ from .errors import (
     DomainError,
     FlagcalcError,
     ParseError,
-    RayDegeneracyError,
     RerouteError,
     ResourceLimitError,
     UnknownGeneratorError,
@@ -62,7 +61,6 @@ __all__ = [
     "Point",
     "PresentationClass",
     "PuncturedPlane",
-    "RayDegeneracyError",
     "RelationLattice",
     "RerouteError",
     "ResourceLimitError",

@@ -184,21 +184,18 @@ def format_vector(coords: tuple[int, ...]) -> str:
     return "(" + ", ".join(str(c) for c in coords) + ")"
 
 
-def parse_vector(text: str, *, line: int = 1) -> tuple[int, ...]:
+def parse_vector(text: str) -> tuple[int, ...]:
     """Parse ``(n1, n2, ...)`` with integer entries."""
     stripped = text.strip()
     if not (stripped.startswith("(") and stripped.endswith(")")):
         raise ParseError(
             "vector literal must be parenthesized",
-            line=line,
             column=1,
             expected=("'(n1, n2, ...)'",),
         )
     inner = stripped[1:-1]
     if not inner.strip():
-        raise ParseError(
-            "vector literal needs at least one entry", line=line, column=2
-        )
+        raise ParseError("vector literal needs at least one entry", column=2)
     coords = []
     start = 1  # index in ``stripped`` of the current comma part
     for part in inner.split(","):
@@ -208,7 +205,6 @@ def parse_vector(text: str, *, line: int = 1) -> tuple[int, ...]:
         except ValueError:
             raise ParseError(
                 f"bad integer {entry!r} in vector literal",
-                line=line,
                 column=start + len(part) - len(part.lstrip()) + 1,
                 expected=("integer",),
             ) from None

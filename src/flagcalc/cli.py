@@ -411,12 +411,8 @@ def _session_text(session: Session) -> str:
     lines: list[str] = []
     if session.gens is not None:
         lines.append("gens " + " ".join(session.gens.names))
-    if session.canon:
-        lines.append("policy explicit")
-        choices = sorted(words.format_word(choice) for choice in session.canon)
-        lines.extend(f"canon {choice}".rstrip() for choice in choices)
-    else:
-        lines.append("policy lex")
+    choices = sorted(words.format_word(choice) for choice in session.canon)
+    lines.extend(f"canon {choice}".rstrip() for choice in choices)
     if session.lattice is not None:
         lines.append(f"lattice {len(session.lattice.rows)} {session.lattice.dim}")
         lines.extend(abelian.format_lattice(session.lattice).splitlines())
@@ -436,7 +432,6 @@ def _session_text(session: Session) -> str:
 
 def _parse_session_text(text: str) -> Session:
     session = Session()
-    policy_mode: str | None = None
     canon: set[words.SignedWord] = set()
     seen: set[str] = set()
     lines = text.splitlines()
@@ -459,13 +454,14 @@ def _parse_session_text(text: str) -> Session:
             if head == "gens":
                 session.gens = words.GeneratorSet.of(*rest.split())
             elif head == "policy":
+                # Older files name the canonical choice; the 'canon' lines
+                # already say it.
                 if rest not in ("lex", "explicit"):
                     raise ParseError(
                         f"unknown policy {rest!r}",
                         line=lineno,
                         expected=("lex", "explicit"),
                     )
-                policy_mode = rest
             elif head == "canon":
                 gens = session.gens
                 if gens is None:
@@ -544,14 +540,11 @@ def _parse_session_text(text: str) -> Session:
                 raise ParseError(
                     f"unknown session directive {head!r}",
                     line=lineno,
-                    expected=("gens", "policy", "canon", "lattice", "punctures:", "bind"),
+                    expected=("gens", "canon", "lattice", "punctures:", "bind"),
                 )
         except DomainError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    if policy_mode == "explicit":
-        session.canon = frozenset(canon)
-    elif canon:
-        raise ParseError("'canon' lines require 'policy explicit'")
+    session.canon = frozenset(canon)
     return session
 
 

@@ -19,10 +19,6 @@ class RerouteError(DomainError):
     """A flag corridor could not be routed; pick a different base point."""
 
 
-class RayDegeneracyError(DomainError):
-    """A loop vertex lies on a crossing ray; perturb the input and retry."""
-
-
 class ParseError(FlagcalcError):
     """Input text failed to parse.
 

@@ -2,10 +2,11 @@
 
 Loops are polygons with rational vertices, a marked flag vertex, and a
 traversal direction.  Everything here is exact: winding numbers by signed
-crossing counts (no floating-point angles), crossing words by transversal
-intersections with the downward vertical ray under each puncture, connected
-sums by rerouting both loops through a shared base point along a
-there-and-back corridor.
+crossing counts (no floating-point angles), crossing words by half-open
+crossings of the downward vertical ray under each puncture, connected sums
+by rerouting both loops through a shared base point along a there-and-back
+corridor.  Every loop that avoids the punctures has a crossing word, also
+one with a vertex on a ray.
 
 A crossing word is a :class:`~flagcalc.words.SignedWord` over the plane's
 generators ``x1 ... xk``, one per puncture.  The raw sequence of ray
@@ -42,12 +43,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from .errors import (
-    DomainError,
-    ParseError,
-    RayDegeneracyError,
-    RerouteError,
-)
+from .errors import DomainError, ParseError, RerouteError
 from .words import GeneratorSet, Sign, SignedWord, _check_sign, free_reduce
 
 
@@ -179,13 +175,12 @@ class FlaggedLoop:
     spiral-shaped loops are fine.
 
     The loop keeps its vertices as integer pairs over their least common
-    denominator, which is what the predicates read; ``vertices`` builds the
-    :class:`Point` tuple from them on first access.  Loops are immutable and
+    denominator, which is what the predicates read; ``vertices`` builds a
+    :class:`Point` tuple from them on each read.  Loops are immutable and
     compare and hash by value.  A loop also remembers its last
     :func:`normalize_flag` result, with the base and plane it was made for,
-    so a loop summed several times at one base is rerouted once; like the
-    ``Point`` tuple, that memo takes no part in ``==``, ``hash``, ``repr`` or
-    pickling.
+    so a loop summed several times at one base is rerouted once; that memo
+    takes no part in ``==``, ``hash``, ``repr`` or pickling.
 
     ``FlaggedLoop(vertices, flag_vertex, traversal)`` checks every condition
     above.  The loops that :func:`normalize_flag` and :func:`connected_sum`
@@ -197,7 +192,6 @@ class FlaggedLoop:
     _ints: tuple[_IntPoint, ...]
     flag_vertex: int
     traversal: str
-    _vertices: tuple[Point, ...] | None = field(compare=False)
     _based: tuple[Point, PuncturedPlane, FlaggedLoop] | None = field(compare=False)
 
     def __init__(
@@ -219,7 +213,7 @@ class FlaggedLoop:
         if True in same:
             i = same.index(True)
             raise DomainError(f"consecutive vertices {i} and {(i + 1) % n} coincide")
-        self._set(den, ints, flag_vertex, traversal, vertices)
+        self._set(den, ints, flag_vertex, traversal)
 
     @classmethod
     def _of_ints(
@@ -227,34 +221,22 @@ class FlaggedLoop:
     ) -> FlaggedLoop:
         """The loop of vertices ``ints`` over ``den``, their least denominator."""
         loop = object.__new__(cls)
-        loop._set(den, ints, flag_vertex, traversal, None)
+        loop._set(den, ints, flag_vertex, traversal)
         return loop
 
     def _set(
-        self,
-        den: int,
-        ints: list[_IntPoint],
-        flag_vertex: int,
-        traversal: str,
-        vertices: tuple[Point, ...] | None,
+        self, den: int, ints: list[_IntPoint], flag_vertex: int, traversal: str
     ) -> None:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_ints", tuple(ints))
         object.__setattr__(self, "flag_vertex", flag_vertex)
         object.__setattr__(self, "traversal", traversal)
-        object.__setattr__(self, "_vertices", vertices)
         object.__setattr__(self, "_based", None)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
-        if self._vertices is None:
-            den = self._den
-            object.__setattr__(
-                self,
-                "_vertices",
-                tuple(Point(Fraction(x, den), Fraction(y, den)) for x, y in self._ints),
-            )
-        return self._vertices
+        den = self._den
+        return tuple(Point(Fraction(x, den), Fraction(y, den)) for x, y in self._ints)
 
     def __repr__(self) -> str:
         return (
@@ -339,8 +321,7 @@ def _detour_point(
     passes through a puncture.  Otherwise deterministically tries
     midpoint-like stations ``t`` along the corridor and shrinking
     perpendicular offsets ``±2^-k`` until the closed triangle ``(w, b, q)``
-    contains no puncture and ``q`` sits off every downward ray.  The
-    triangle condition is what preserves winding numbers.
+    contains no puncture, which is what preserves winding numbers.
     """
     for p in punctures:
         if _on_segment(p, w, b):
@@ -361,9 +342,6 @@ def _detour_point(
                     ws[0] + (t_num * dx << k) + side * t_den * nx,
                     ws[1] + (t_num * dy << k) + side * t_den * ny,
                 )
-                # A q on a puncture is also on its ray.
-                if any(q[0] == p[0] for p in ps):
-                    continue
                 if any(_in_closed_triangle(p, ws, bs, q) for p in ps):
                     continue
                 return m, q
@@ -461,33 +439,23 @@ def connected_sum_auto(
     raise RerouteError("no usable base point among the candidates")
 
 
-def _crossable(
-    loop: FlaggedLoop, plane: PuncturedPlane
-) -> tuple[list[_IntPoint], list[_IntPoint]]:
-    """``loop`` and the punctures over one denominator; raises unless it has a word."""
-    _, vertices, punctures = _over_one_den(loop, plane)
-    _check_avoids(vertices, punctures)
-    for i, v in enumerate(vertices):
-        for j, p in enumerate(punctures):
-            if v[0] == p[0] and v[1] < p[1]:
-                raise RayDegeneracyError(
-                    f"vertex {i} lies on the downward ray of puncture {j + 1}; "
-                    "perturb the loop"
-                )
-    return vertices, punctures
-
-
 def crossing_word(loop: FlaggedLoop, plane: PuncturedPlane) -> SignedWord:
     """Reduced crossing word against the downward rays under the punctures.
 
     Walking from the flag in traversal order, each transversal crossing of
     puncture ``j``'s downward vertical ray contributes ``x_j+`` when passing
     left-to-right (the counterclockwise sense) and ``x_j-`` right-to-left.
-    The word is over ``plane.gens`` and freely reduced.  A vertex sitting
-    exactly on a ray makes the crossing ill-defined, which raises
-    :class:`RayDegeneracyError`; nudge the vertex and retry.
+    The word is over ``plane.gens`` and freely reduced.
+
+    Crossings are counted half-open in x, as :func:`winding_profile` counts
+    them in y: a vertex on a ray counts as lying just right of it, as if
+    every ray were moved left by less than any gap between x-coordinates.
+    So every loop that avoids the punctures has a word, and reversing the
+    loop gives the involution of its word.  Raises :class:`DomainError` when
+    the loop touches a puncture.
     """
-    vertices, punctures = _crossable(loop, plane)
+    _, vertices, punctures = _over_one_den(loop, plane)
+    _check_avoids(vertices, punctures)
     codes: list[int] = []
     for a, b in _edges(_walk(vertices, loop.flag_vertex, loop.traversal)):
         dx = b[0] - a[0]
@@ -497,10 +465,10 @@ def crossing_word(loop: FlaggedLoop, plane: PuncturedPlane) -> SignedWord:
             db = b[0] - p[0]
             # The edge meets the vertical through p at t = (p.x - a.x) / dx,
             # below p exactly when _cross(a, b, p) has the sign of dx.
-            if ((da < 0 < db) or (db < 0 < da)) and _cross(a, b, p) * dx > 0:
+            if ((da < 0 <= db) or (db < 0 <= da)) and _cross(a, b, p) * dx > 0:
                 # t * dx^2 orders an edge's hits as t does, with no division;
                 # distinct puncture x-coordinates keep the t values distinct.
-                hits.append(((p[0] - a[0]) * dx, 2 * j + (da > 0)))
+                hits.append(((p[0] - a[0]) * dx, 2 * j + (db < 0)))
         hits.sort()
         codes.extend(code for _, code in hits)
     return free_reduce(SignedWord._of_codes(plane.gens, tuple(codes)))
@@ -580,7 +548,7 @@ def sample_loop(rng: random.Random, plane: PuncturedPlane) -> FlaggedLoop:
         traversal = "F" if rng.randint(0, 1) == 0 else "B"
         loop = FlaggedLoop(vertices, flag, traversal)
         try:
-            _crossable(loop, plane)
+            ensure_avoids(loop, plane)
         except DomainError:
             continue
         return loop
@@ -604,21 +572,18 @@ def format_point(p: Point) -> str:
     return f"({p.x},{p.y})"
 
 
-def parse_point(token: str, *, line: int = 1, column: int = 1) -> Point:
+def parse_point(token: str, *, line: int = 1) -> Point:
     m = _POINT_RE.fullmatch(token.strip())
     if m is None:
         raise ParseError(
             f"bad point {token!r}",
             line=line,
-            column=column,
             expected=("'(x,y)' with rational coordinates",),
         )
     try:
         return Point(Fraction(m.group(1).strip()), Fraction(m.group(2).strip()))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(
-            f"bad rational coordinate in {token!r}", line=line, column=column
-        ) from None
+        raise ParseError(f"bad rational coordinate in {token!r}", line=line) from None
 
 
 def _format_coordinate(n: int, den: int) -> str:

@@ -162,6 +162,13 @@ class TestGeometryCommands:
         _, out, _, _ = run(session, "fgword loop2")
         assert out == "x2"
 
+    def test_fgword_reads_a_vertex_on_a_ray(self, tmp_path):
+        path = tmp_path / "diamond.plane"
+        path.write_text("punctures: (0,0)\nloop 0 F (0,-1) (1,0) (0,1) (-1,0)\n")
+        out, err, code = script_output(f"plane load {path}\nfgword loop1\n")
+        assert (err, code) == ("", 0)
+        assert out.splitlines()[-1] == "x1"
+
     def test_sum_binds_the_next_loop_name(self):
         session = Session()
         run(session, f"plane load {DATA / 'loops.plane'}")
@@ -269,35 +276,39 @@ class TestSessionPersistence:
         _, out, _, _ = run(session, "eval t1")
         assert out == "b- a-"
 
-    def test_explicit_policy_round_trip(self, tmp_path):
-        path = tmp_path / "policy.session"
-        path.write_text("gens a b\npolicy explicit\ncanon b- a-\n")
+    def test_canon_lines_round_trip(self, tmp_path):
+        path = tmp_path / "canon.session"
+        path.write_text("gens a b\ncanon b- a-\n")
         session = Session()
         run(session, f"load {path}")
         _, out, _, _ = run(session, "class a+ b+")
         assert out.splitlines()[0] == "canonical: b- a-"
         out_path = tmp_path / "resaved.session"
         run(session, f"save {out_path}")
-        assert "canon b- a-" in out_path.read_text()
+        assert out_path.read_text() == "gens a b\ncanon b- a-\n"
 
-    def test_explicit_policy_without_canon_lines_saves_as_lex(self, tmp_path):
+    @pytest.mark.parametrize(
+        "policy", ["policy lex\n", "policy explicit\n"], ids=["lex", "explicit"]
+    )
+    @pytest.mark.parametrize("canon", ["", "canon b- a-\n"], ids=["none", "canon"])
+    def test_an_older_policy_line_is_read_and_dropped(self, tmp_path, policy, canon):
         path, saved = tmp_path / "in.session", tmp_path / "out.session"
-        path.write_text("gens a b\npolicy explicit\n")
-        out, err, code = script_output(f"load {path}\nclass b- a-\nsave {saved}\n")
+        path.write_text(f"gens a b\n{policy}{canon}")
+        out, err, code = script_output(f"load {path}\nclass a+ b+\nsave {saved}\n")
         assert (err, code) == ("", 0)
-        assert out.splitlines()[1] == "canonical: a+ b+"
-        assert saved.read_text() == "gens a b\npolicy lex\n"
+        chosen = "b- a-" if canon else "a+ b+"
+        assert out.splitlines()[1] == f"canonical: {chosen}"
+        assert saved.read_text() == f"gens a b\n{canon}"
 
-    @pytest.mark.parametrize("policy", ["policy lex\n", ""])
-    def test_canon_lines_require_policy_explicit(self, tmp_path, policy):
-        path = tmp_path / "canon.session"
-        path.write_text(f"gens a b\n{policy}canon b- a-\n")
+    def test_an_unknown_policy_is_refused(self, tmp_path):
+        path = tmp_path / "policy.session"
+        path.write_text("gens a b\npolicy fancy\n")
         _, _, err, code = run(Session(), f"load {path}")
-        assert (err, code) == ("1:1: 'canon' lines require 'policy explicit'", 2)
+        assert (err, code) == ("2:1: unknown policy 'fancy' (expected lex or explicit)", 2)
 
     def test_canon_lines_choose_the_printed_member_until_gens(self, tmp_path):
         path = tmp_path / "canon.session"
-        path.write_text("gens a b\npolicy explicit\ncanon b- a-\ncanon b-\n")
+        path.write_text("gens a b\ncanon b- a-\ncanon b-\n")
         out, err, code = script_output(
             f"load {path}\nclass a+ b+\npair +- 'a+ b+' b-\n"
             "gens a b\nclass a+ b+\npair +- 'a+ b+' b-\n"
@@ -327,12 +338,12 @@ class TestSessionPersistence:
 
     def test_gens_drops_the_words_it_breaks(self, tmp_path):
         path, saved = tmp_path / "in.session", tmp_path / "out.session"
-        path.write_text("gens a b\npolicy lex\nbind w word b+ a-\n")
+        path.write_text("gens a b\nbind w word b+ a-\n")
         out, err, code = script_output(
             f"load {path}\ngens x\nsave {saved}\nload {saved}\n"
         )
         assert (err, code) == ("", 0)
-        assert saved.read_text() == "gens x\npolicy lex\n"
+        assert saved.read_text() == "gens x\n"
 
     @pytest.mark.parametrize(
         "session_text, command, file_text, error",
@@ -497,7 +508,7 @@ class TestDeepTrees:
         word, literal = " ".join(letters), left_comb(letters)
         path = tmp_path / "deep.session"
         path.write_text(
-            f"gens a b\npolicy lex\nbind t tree {literal}\nbind w word {word}\n"
+            f"gens a b\nbind t tree {literal}\nbind w word {word}\n"
         )
         first, second = tmp_path / "one.session", tmp_path / "two.session"
         out, err, code = script_output(
@@ -562,10 +573,10 @@ def session_files(draw) -> str:
     value = st.one_of(
         word.map("word {}".format), st.builds(str.format, root, tree), rectangles()
     )
-    policy = draw(st.sampled_from(["lex", "explicit"]))
-    canons = draw(st.lists(word, max_size=3)) if policy == "explicit" else []
-    lines = ["gens " + " ".join(gens), f"policy {policy}"]
-    lines += [f"canon {w}" for w in canons]
+    # Older files carry a 'policy' line, which load reads and save drops.
+    policy = draw(st.sampled_from([[], ["policy lex"], ["policy explicit"]]))
+    lines = ["gens " + " ".join(gens), *policy]
+    lines += [f"canon {w}" for w in draw(st.lists(word, max_size=3))]
     dim = draw(st.integers(1, 3))
     row = st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)
     rows = draw(st.lists(row, max_size=3))

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flagcalc.abelian import abelianize
-from flagcalc.errors import DomainError, ParseError, RayDegeneracyError, RerouteError
+from flagcalc.errors import DomainError, ParseError, RerouteError
 from flagcalc.plane import (
     DEFAULT_BASE_POINTS,
     FlaggedLoop,
@@ -283,12 +283,18 @@ class TestCrossingWord:
         loop = TestConnectedSum.L2
         assert format_free_word(crossing_word(loop, TWO_PUNCTURES)) == "x2"
 
-    def test_vertex_on_ray_is_rejected(self):
-        loop = FlaggedLoop(
+    def test_vertex_on_ray_reads_as_right_of_it(self):
+        diamond = FlaggedLoop(
+            (Point.of(0, -1), Point.of(1, 0), Point.of(0, 1), Point.of(-1, 0)), 0
+        )
+        assert format_free_word(crossing_word(diamond, ONE_PUNCTURE)) == "x1"
+        backward = FlaggedLoop(diamond.vertices, 0, "B")
+        assert format_free_word(crossing_word(backward, ONE_PUNCTURE)) == "x1^-1"
+        # Arrives from the left at a vertex on the ray and leaves it leftward.
+        dipped = FlaggedLoop(
             (Point.of(0, -3), Point.of(2, -4), Point.of(2, -5), Point.of(-2, -5)), 0
         )
-        with pytest.raises(RayDegeneracyError):
-            crossing_word(loop, ONE_PUNCTURE)
+        assert crossing_word(dipped, ONE_PUNCTURE).codes == ()
 
     def test_abelianization_matches_windings(self):
         for loop in sample_loops(TWO_PUNCTURES, 30, seed=21):
@@ -315,8 +321,8 @@ class TestCrossingWord:
         assert format_free_word(SignedWord(gens)) == ""
 
 
-# Punctures close enough that some sampled loops touch one or put a vertex on a
-# downward ray, so sampling has to retry.
+# Punctures close enough that some sampled loops touch one, so sampling has to
+# retry, and others put a vertex on a downward ray.
 CROWDED_PLANE = PuncturedPlane(
     (Point.of(0, 0), Point.of(3, 5), Point.of(-2, Fraction(1, 2)))
 )
@@ -368,7 +374,7 @@ class TestSampling:
             crossing_word_sample(rng, CROWDED_PLANE, refused) for _ in range(200)
         ]
         assert sample_loops(CROWDED_PLANE, 200, seed) == expected
-        assert {"DomainError", "RayDegeneracyError"} <= set(refused)
+        assert set(refused) == {"DomainError"}
 
     def test_windings_stay_small(self):
         for loop in sample_loops(ONE_PUNCTURE, 50, seed=17):
@@ -513,6 +519,25 @@ def contact(loop: FlaggedLoop, punctures) -> bool:
     return any(touches(p, a, b) for p in punctures for a, b in edges(loop))
 
 
+def shift_clear_of_rays(loop: FlaggedLoop, plane: PuncturedPlane) -> Fraction:
+    """A rational ``eps > 0`` such that shifting ``loop`` right by ``eps``
+    puts no vertex on a downward ray and sweeps no edge across a puncture.
+
+    Half of the least positive horizontal distance from a puncture to a
+    vertex, or along the puncture's horizontal to an edge.
+    """
+    gaps = [abs(v.x - p.x) for v in loop.vertices for p in plane.punctures]
+    for p in plane.punctures:
+        for a, b in edges(loop):
+            if a.y == b.y == p.y:
+                gaps += [abs(a.x - p.x), abs(b.x - p.x)]
+            elif min(a.y, b.y) <= p.y <= max(a.y, b.y):
+                x = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+                gaps.append(abs(x - p.x))
+    # With no positive gap, every vertex is on the one puncture's vertical.
+    return min((g for g in gaps if g), default=Fraction(2)) / 2
+
+
 def reference_detour(w0: Point, base: Point, plane: PuncturedPlane) -> Point | None:
     """The corridor's return-leg point by Fraction arithmetic; None if refused."""
     if any(touches(p, w0, base) for p in plane.punctures):
@@ -523,8 +548,6 @@ def reference_detour(w0: Point, base: Point, plane: PuncturedPlane) -> Point | N
             for side in (1, -1):
                 eps = Fraction(side, 2**k)
                 q = Point(w0.x + t * dx - eps * dy, w0.y + t * dy + eps * dx)
-                if any(q.x == p.x for p in plane.punctures):
-                    continue
                 signs = [
                     (cross(w0, base, p), cross(base, q, p), cross(q, w0, p))
                     for p in plane.punctures
@@ -561,21 +584,26 @@ class TestExactPredicates:
     @given(planes_and_loops())
     def test_crossing_word_sums_to_the_windings(self, case):
         plane, loop = case
-        on_ray = any(
-            v.x == p.x and v.y < p.y for v in loop.vertices for p in plane.punctures
-        )
         if contact(loop, plane.punctures):
             with pytest.raises(DomainError) as raised:
                 crossing_word(loop, plane)
             assert type(raised.value) is DomainError
-        elif on_ray:
-            with pytest.raises(RayDegeneracyError):
-                crossing_word(loop, plane)
-        else:
-            word = crossing_word(loop, plane)
-            assert abelianize(word) == tuple(
-                angle_sum_winding(loop, p) for p in plane.punctures
-            )
+            return
+        word = crossing_word(loop, plane)
+        assert abelianize(word) == tuple(
+            angle_sum_winding(loop, p) for p in plane.punctures
+        )
+        flipped = "B" if loop.traversal == "F" else "F"
+        reverse = FlaggedLoop(loop.vertices, loop.flag_vertex, flipped)
+        assert crossing_word(reverse, plane) == word.involution()
+        eps = shift_clear_of_rays(loop, plane)
+        shifted = FlaggedLoop(
+            tuple(Point(v.x + eps, v.y) for v in loop.vertices),
+            loop.flag_vertex,
+            loop.traversal,
+        )
+        assert not any(v.x == p.x for v in shifted.vertices for p in plane.punctures)
+        assert crossing_word(shifted, plane) == word
 
     @settings(max_examples=400)
     @given(corridors())
