@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, check_digit_limit, excerpt
 from .words import GeneratorSet, SignedWord, letter_tokens
 
 
@@ -203,8 +203,9 @@ def parse_vector(text: str) -> tuple[int, ...]:
         try:
             coords.append(int(entry))
         except ValueError:
+            check_digit_limit(entry)
             raise ParseError(
-                f"bad integer {entry!r} in vector literal",
+                f"bad integer {excerpt(entry)} in vector literal",
                 column=start + len(part) - len(part.lstrip()) + 1,
                 expected=("integer",),
             ) from None
@@ -219,8 +220,9 @@ def parse_lattice_row(raw: str, *, line: int = 1) -> list[int]:
         try:
             row.append(int(match.group()))
         except ValueError:
+            check_digit_limit(match.group())
             raise ParseError(
-                f"bad integer {match.group()!r} in lattice row",
+                f"bad integer {excerpt(match.group())} in lattice row",
                 line=line,
                 column=match.start() + 1,
                 expected=("integer",),

@@ -1,10 +1,13 @@
 """Line-oriented command shell over the whole calculus.
 
 One command per line; ``flagcalc script.txt`` runs a batch, ``flagcalc``
-reads stdin, ``flagcalc -c '...'`` runs a single command.  Output is fully
+reads stdin, ``flagcalc -c '...'`` runs a single command.  A line is split
+into words as a POSIX shell splits it (see :func:`_lex`).  Output is fully
 deterministic: no timestamps, no hash-ordered iteration, seeds are explicit
 arguments.  Exit codes: 0 success, 1 domain error (also failed check
-sweeps), 2 syntax error.  Error text goes to stderr prefixed ``error:``.
+sweeps), 2 syntax error.  Error text goes to stderr prefixed ``error:`` and,
+for a syntax error, the ``line:column`` where it is in the script (or, for a
+file that a command reads, in that file).
 
 Sessions hold the declared generator set, the preferred words that ``class``
 and ``pair`` print as canonical (the ``canon`` lines of a session file), an
@@ -17,21 +20,47 @@ from __future__ import annotations
 
 import argparse
 import re
-import shlex
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, TextIO, TypeVar
 
 from . import abelian, suites, trees, words
 from . import plane as planes
-from .errors import DomainError, FlagcalcError, ParseError, ResourceLimitError
+from .errors import (
+    DomainError,
+    FlagcalcError,
+    ParseError,
+    ResourceLimitError,
+    check_digit_limit,
+    excerpt,
+)
 
 # Not typing.Union, for the reason given at ``trees.PairingTree``.
 Binding = words.SignedWord | trees.RootedPresentation | planes.FlaggedLoop
+# A word of a command line: its value, and its start and end offsets in the line.
+Token = tuple[str, int, int]
+_T = TypeVar("_T")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LOOP_NAME_RE = re.compile(r"loop(\d+)")
+# The characters that quote, escape or comment; a line without them splits on
+# whitespace alone.
+_QUOTING_RE = re.compile(r"['\"\\#]")
+_PLAIN_WORD_RE = re.compile(r"[^ \t\r\n]+")
+# Whitespace, a comment, a word, or the quote or backslash that opens a word
+# piece with no end.  A word is a run of pieces: unquoted characters, '...',
+# "..." (in which a backslash escapes the next character) and a backslash
+# with the character after it.
+_LEX_RE = re.compile(
+    r"""[ \t\r\n]+|\#[^\n]*
+    |(?P<word>(?:[^ \t\r\n'"\\\#]+|'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*"|\\.)+)
+    |(?P<open>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_PIECE_RE = re.compile(r"""'([^']*)'|"([^"\\]*(?:\\.[^"\\]*)*)"|\\(.)|([^'"\\]+)""", re.DOTALL)
+# Inside "...", a backslash escapes only a double quote and a backslash.
+_QUOTED_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 # The same bound as ``orbit``'s default ``--cap``.
 MAX_SWEEP_SAMPLES = trees.DEFAULT_CLOSURE_CAP
@@ -60,18 +89,27 @@ def _require_plane(session: Session) -> planes.PuncturedPlane:
     return session.plane
 
 
-def _resolve_word(session: Session, text: str) -> words.SignedWord:
+def _parse_at(column: int, parse: Callable[..., _T], text: str, *args: object) -> _T:
+    """``parse(text, *args)``; a parse error moves to ``text``'s ``column`` in the line."""
+    try:
+        return parse(text, *args)
+    except ParseError as exc:
+        exc.column += column - 1
+        raise
+
+
+def _resolve_word(session: Session, text: str, column: int) -> words.SignedWord:
     bound = session.bindings.get(text.strip())
     if isinstance(bound, words.SignedWord):
         return bound
-    return words.parse_word(text, _require_gens(session))
+    return _parse_at(column, words.parse_word, text, _require_gens(session))
 
 
-def _resolve_tree(session: Session, text: str) -> trees.RootedPresentation:
+def _resolve_tree(session: Session, text: str, column: int) -> trees.RootedPresentation:
     bound = session.bindings.get(text.strip())
     if isinstance(bound, trees.RootedPresentation):
         return bound
-    return trees.parse_tree(text, _require_gens(session))
+    return _parse_at(column, trees.parse_tree, text, _require_gens(session))
 
 
 def _resolve_loop(session: Session, name: str) -> planes.FlaggedLoop:
@@ -81,58 +119,91 @@ def _resolve_loop(session: Session, name: str) -> planes.FlaggedLoop:
     return bound
 
 
-def _positionals(args: list[str], options: tuple[str, ...]) -> tuple[list[str], dict[str, str]]:
-    """Split ``args`` into positionals and ``--name value`` options."""
-    pos: list[str] = []
-    opts: dict[str, str] = {}
+def _positionals(
+    tokens: list[Token], options: tuple[str, ...]
+) -> tuple[list[Token], dict[str, Token]]:
+    """Split ``tokens`` into positionals and ``--name value`` options."""
+    pos: list[Token] = []
+    opts: dict[str, Token] = {}
     i = 0
-    while i < len(args):
-        arg = args[i]
+    while i < len(tokens):
+        arg, start, _ = tokens[i]
         if arg.startswith("--") and arg != "--":  # a lone ``--`` is a sign pair
             name = arg[2:]
             if name not in options:
                 raise ParseError(
-                    f"unknown option {arg!r}",
+                    f"unknown option {excerpt(arg)}",
+                    column=start + 1,
                     expected=tuple(f"--{o}" for o in sorted(options)),
                 )
-            if i + 1 >= len(args):
-                raise ParseError(f"option {arg!r} needs a value")
-            opts[name] = args[i + 1]
+            if i + 1 >= len(tokens):
+                raise ParseError(f"option {arg!r} needs a value", column=start + 1)
+            opts[name] = tokens[i + 1]
             i += 2
         else:
-            pos.append(arg)
+            pos.append(tokens[i])
             i += 1
     return pos, opts
 
 
-def _int_option(opts: dict[str, str], name: str, default: int | None = None) -> int:
+def _int_option(opts: dict[str, Token], name: str, default: int | None = None) -> int:
     if name not in opts:
         if default is None:
             raise ParseError(f"missing required option --{name}")
         return default
+    value, start, _ = opts[name]
     try:
-        return int(opts[name])
+        return int(value)
     except ValueError:
-        raise ParseError(f"option --{name} needs an integer") from None
+        check_digit_limit(value)
+        raise ParseError(f"option --{name} needs an integer", column=start + 1) from None
 
 
-def _arity(args: list[str], count: int, usage: str) -> None:
-    if len(args) != count:
+def _values(tokens: list[Token]) -> list[str]:
+    return [value for value, _, _ in tokens]
+
+
+def _arity(tokens: list[Token], count: int, usage: str) -> None:
+    if len(tokens) != count:
         raise ParseError(f"usage: {usage}")
 
 
-def _joined(args: list[str], usage: str) -> str:
-    """Rebuild a trailing literal that shlex split on whitespace."""
-    if not args:
+def _literal(line: str, tokens: list[Token], usage: str) -> tuple[str, int]:
+    """The literal that ``tokens`` spell, and the line column where it starts.
+
+    It is sliced from ``line``, so that it keeps its own spacing and an error
+    inside it can name its column in the line.  If a token was quoted or
+    escaped, or an option stood between two of them, the literal is the
+    tokens' values joined by spaces instead.
+    """
+    if not tokens:
         raise ParseError(f"usage: {usage}")
-    return " ".join(args)
+    start = tokens[0][1]
+    text = line[start : tokens[-1][2]]
+    if _QUOTING_RE.search(text) or len(text.split()) != len(tokens):
+        text = " ".join(_values(tokens))
+    return text, start + 1
 
 
-def _read_file(path: str) -> str:
+def _word_at(line: str, token: Token) -> tuple[str, int]:
+    """A token's value, and its column, past the quote if the token opens with one."""
+    value, start, _ = token
+    return value, start + 1 + (line[start] in "'\"")
+
+
+class _FileParseError(FlagcalcError):
+    """A parse error placed in a file that a command read, not in the command line."""
+
+
+def _parse_file(path: str, parse: Callable[[str], _T]) -> _T:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise _FileParseError(str(exc)) from None
 
 
 def _next_loop_name(session: Session) -> str:
@@ -155,23 +226,23 @@ def _drop_bindings(session: Session, kind: type | tuple[type, ...]) -> None:
 # --- command handlers ------------------------------------------------------
 
 
-def _cmd_gens(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_gens(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     if not args:
         raise ParseError("usage: gens <name> [<name> ...]")
-    session.gens = words.GeneratorSet.of(*args)
+    session.gens = words.GeneratorSet.of(*_values(args))
     session.canon = frozenset()
     _drop_bindings(session, (words.SignedWord, trees.RootedPresentation))
     return "generators: " + " ".join(session.gens.names), 0
 
 
-def _cmd_inv(session: Session, args: list[str]) -> tuple[str, int]:
-    word = _resolve_word(session, _joined(args, "inv <word>"))
+def _cmd_inv(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
+    word = _resolve_word(session, *_literal(line, args, "inv <word>"))
     return words.format_word(word.involution()), 0
 
 
-def _cmd_class(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_class(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     cls = words.class_of(
-        _resolve_word(session, _joined(args, "class <word>")), session.canon
+        _resolve_word(session, *_literal(line, args, "class <word>")), session.canon
     )
     return (
         f"canonical: {words.format_word(cls.canonical)}\n"
@@ -180,68 +251,72 @@ def _cmd_class(session: Session, args: list[str]) -> tuple[str, int]:
     ), 0
 
 
-def _cmd_pair(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_pair(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     _arity(args, 3, "pair <st> <word> <word> (quote multi-letter words)")
-    sigma, tau = words.parse_sign_pair(args[0])
-    a = words.class_of(_resolve_word(session, args[1]), session.canon)
-    b = words.class_of(_resolve_word(session, args[2]), session.canon)
+    (st, st_start, _), a_token, b_token = args
+    sigma, tau = words.parse_sign_pair(st, column=st_start + 1)
+    a = words.class_of(_resolve_word(session, *_word_at(line, a_token)), session.canon)
+    b = words.class_of(_resolve_word(session, *_word_at(line, b_token)), session.canon)
     return words.format_word(words.pair(a, sigma, tau, b)), 0
 
 
-def _cmd_eval(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_eval(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     gens = _require_gens(session)
-    rooted = _resolve_tree(session, _joined(args, "eval <tree>"))
+    rooted = _resolve_tree(session, *_literal(line, args, "eval <tree>"))
     return words.format_word(trees.eval_tree(rooted, gens)), 0
 
 
-def _cmd_word2tree(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_word2tree(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     gens = _require_gens(session)
-    word = _resolve_word(session, _joined(args, "word2tree <word>"))
+    word = _resolve_word(session, *_literal(line, args, "word2tree <word>"))
     return trees.format_tree(trees.word_to_tree(word), gens), 0
 
 
-def _cmd_orbit(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_orbit(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     pos, opts = _positionals(args, ("cap",))
     gens = _require_gens(session)
     cap = _int_option(opts, "cap", trees.DEFAULT_CLOSURE_CAP)
-    rooted = _resolve_tree(session, _joined(pos, "orbit <tree> [--cap K]"))
+    rooted = _resolve_tree(session, *_literal(line, pos, "orbit <tree> [--cap K]"))
     orbit = trees.move_closure(rooted, cap)
     literals = sorted(trees.format_tree(member, gens) for member in orbit)
     return "\n".join([f"orbit size: {len(orbit)}"] + literals), 0
 
 
-def _cmd_ms(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_ms(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     gens = _require_gens(session)
     ms = abelian.multiset_quotient(
-        _resolve_word(session, _joined(args, "ms <word>"))
+        _resolve_word(session, *_literal(line, args, "ms <word>"))
     )
     return abelian.format_multiset(ms, gens), 0
 
 
-def _cmd_ab(session: Session, args: list[str]) -> tuple[str, int]:
-    vec = abelian.abelianize(_resolve_word(session, _joined(args, "ab <word>")))
+def _cmd_ab(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
+    vec = abelian.abelianize(_resolve_word(session, *_literal(line, args, "ab <word>")))
     return abelian.format_vector(vec), 0
 
 
-def _cmd_coset(session: Session, args: list[str]) -> tuple[str, int]:
-    vector = abelian.parse_vector(_joined(args, "coset <vector>"))
+def _cmd_coset(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
+    text, column = _literal(line, args, "coset <vector>")
+    vector = _parse_at(column, abelian.parse_vector, text)
     if session.lattice is not None:  # else the free lattice, which reduces nothing
         vector = session.lattice.reduce(vector)
     return abelian.format_vector(vector), 0
 
 
-def _cmd_lattice(session: Session, args: list[str]) -> tuple[str, int]:
-    if len(args) != 2 or args[0] != "load":
+def _cmd_lattice(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
+    values = _values(args)
+    if len(values) != 2 or values[0] != "load":
         raise ParseError("usage: lattice load <file>")
-    lattice = abelian.parse_lattice(_read_file(args[1]))
+    lattice = _parse_file(values[1], abelian.parse_lattice)
     session.lattice = lattice
     return f"lattice: {len(lattice.rows)} row(s), dimension {lattice.dim}", 0
 
 
-def _cmd_plane(session: Session, args: list[str]) -> tuple[str, int]:
-    if len(args) != 2 or args[0] != "load":
+def _cmd_plane(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
+    values = _values(args)
+    if len(values) != 2 or values[0] != "load":
         raise ParseError("usage: plane load <file>")
-    plane, loops = planes.parse_plane_file(_read_file(args[1]))
+    plane, loops = _parse_file(values[1], planes.parse_plane_file)
     session.plane = plane
     _drop_bindings(session, planes.FlaggedLoop)
     lines = [f"plane: {len(plane.punctures)} puncture(s)"]
@@ -252,38 +327,40 @@ def _cmd_plane(session: Session, args: list[str]) -> tuple[str, int]:
     return "\n".join(lines), 0
 
 
-def _cmd_wind(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_wind(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     _arity(args, 1, "wind <loopname>")
     plane = _require_plane(session)
-    loop = _resolve_loop(session, args[0])
+    loop = _resolve_loop(session, args[0][0])
     return abelian.format_vector(planes.winding_profile(loop, plane)), 0
 
 
-def _cmd_fgword(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_fgword(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     _arity(args, 1, "fgword <loopname>")
     plane = _require_plane(session)
-    loop = _resolve_loop(session, args[0])
+    loop = _resolve_loop(session, args[0][0])
     return planes.format_free_word(planes.crossing_word(loop, plane)), 0
 
 
-def _cmd_sum(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_sum(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     pos, opts = _positionals(args, ("base",))
     _arity(pos, 3, "sum <st> <loop1> <loop2> --base (x,y)")
     if "base" not in opts:
         raise ParseError("missing required option --base")
-    sigma, tau = words.parse_sign_pair(pos[0])
+    (st, st_start, _), (name1, _, _), (name2, _, _) = pos
+    sigma, tau = words.parse_sign_pair(st, column=st_start + 1)
     plane = _require_plane(session)
-    l1 = _resolve_loop(session, pos[1])
-    l2 = _resolve_loop(session, pos[2])
-    base = planes.parse_point(opts["base"])
+    l1 = _resolve_loop(session, name1)
+    l2 = _resolve_loop(session, name2)
+    base_text, base_start, _ = opts["base"]
+    base = planes.parse_point(base_text, column=base_start + 1)
     result = planes.connected_sum(l1, sigma, tau, l2, base, plane)
     name = _next_loop_name(session)
     session.bindings[name] = result
     return f"{name} = {planes.format_loop_literal(result)}", 0
 
 
-def _cmd_oracle(session: Session, args: list[str]) -> tuple[str, int]:
-    if not args or args[0] != "sweep":
+def _cmd_oracle(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
+    if not args or args[0][0] != "sweep":
         raise ParseError("usage: oracle sweep --samples K --seed S")
     pos, opts = _positionals(args[1:], ("samples", "seed"))
     if pos:
@@ -308,15 +385,17 @@ def _cmd_oracle(session: Session, args: list[str]) -> tuple[str, int]:
     return "\n".join(lines), 0 if passed else 1
 
 
-def _cmd_check(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_check(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     _arity(args, 1, "check <suite|all>")
-    if args[0] == "all":
+    suite, start, _ = args[0]
+    if suite == "all":
         names = list(suites.SUITES)
-    elif args[0] in suites.SUITES:
-        names = [args[0]]
+    elif suite in suites.SUITES:
+        names = [suite]
     else:
         raise ParseError(
-            f"unknown suite {args[0]!r}",
+            f"unknown suite {excerpt(suite)}",
+            column=start + 1,
             expected=tuple(sorted(suites.SUITES)) + ("all",),
         )
     lines = []
@@ -336,27 +415,29 @@ def _cmd_check(session: Session, args: list[str]) -> tuple[str, int]:
     return "\n".join(lines), 1 if failed else 0
 
 
-def _cmd_save(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_save(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     _arity(args, 1, "save <file>")
+    path = args[0][0]
     try:
-        Path(args[0]).write_text(_session_text(session), encoding="utf-8")
+        Path(path).write_text(_session_text(session), encoding="utf-8")
     except OSError as exc:
-        raise DomainError(f"cannot write {args[0]}: {exc.strerror or exc}") from None
-    return f"saved {args[0]}", 0
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
+    return f"saved {path}", 0
 
 
-def _cmd_load(session: Session, args: list[str]) -> tuple[str, int]:
+def _cmd_load(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     _arity(args, 1, "load <file>")
-    loaded = _parse_session_text(_read_file(args[0]))
+    path = args[0][0]
+    loaded = _parse_file(path, _parse_session_text)
     session.gens = loaded.gens
     session.canon = loaded.canon
     session.lattice = loaded.lattice
     session.plane = loaded.plane
     session.bindings = loaded.bindings
-    return f"loaded {args[0]}", 0
+    return f"loaded {path}", 0
 
 
-_HANDLERS: dict[str, Callable[[Session, list[str]], tuple[str, int]]] = {
+_HANDLERS: dict[str, Callable[[Session, str, list[Token]], tuple[str, int]]] = {
     "gens": _cmd_gens,
     "inv": _cmd_inv,
     "class": _cmd_class,
@@ -382,26 +463,47 @@ _HANDLERS: dict[str, Callable[[Session, list[str]], tuple[str, int]]] = {
 def run_command(
     session: Session, argv: list[str]
 ) -> tuple[Session, str | None, str | None, int]:
-    """Execute one command; returns (session, stdout text, stderr text, code)."""
-    if not argv:
-        return session, None, None, 0
+    """Execute one command given as its words; returns (session, stdout text, stderr text, code).
+
+    A literal argument is its words joined by spaces, and errors are placed
+    in that joined line.
+    """
+    tokens: list[Token] = []
+    start = 0
+    for value in argv:
+        tokens.append((value, start, start + len(value)))
+        start += len(value) + 1
+    return (session, *_execute(session, " ".join(argv), tokens, 1))
+
+
+def _execute(
+    session: Session, line: str, tokens: list[Token], lineno: int
+) -> tuple[str | None, str | None, int]:
+    """Run the command that ``tokens`` of ``line`` spell; returns (stdout, stderr, code)."""
+    if not tokens:
+        return None, None, 0
+    name, start, _ = tokens[0]
     try:
-        handler = _HANDLERS.get(argv[0])
+        handler = _HANDLERS.get(name)
         if handler is None:
             raise ParseError(
-                f"unknown command {argv[0]!r}",
+                f"unknown command {excerpt(name)}",
+                column=start + 1,
                 expected=tuple(sorted(_HANDLERS)),
             )
-        text, code = handler(session, argv[1:])
-        return session, text, None, code
+        text, code = handler(session, line, tokens[1:])
+        return text, None, code
     except ParseError as exc:
-        return session, None, str(exc), 2
+        exc.line = lineno
+        return None, str(exc), 2
+    except _FileParseError as exc:
+        return None, str(exc), 2
     except FlagcalcError as exc:
-        return session, None, str(exc), 1
+        return None, str(exc), 1
     except RecursionError:
         # ``orbit`` rewrites trees recursively, one frame per level, and
         # ``move_closure`` refuses a tree nested past the recursion limit.
-        return session, None, "input nested too deeply for this command", 1
+        return None, "input nested too deeply for this command", 1
 
 
 # --- session files ---------------------------------------------------------
@@ -479,8 +581,9 @@ def _parse_session_text(text: str) -> Session:
                     try:
                         header.append(int(match.group()))
                     except ValueError:
+                        check_digit_limit(match.group())
                         raise ParseError(
-                            f"bad integer {match.group()!r} in lattice header",
+                            f"bad integer {excerpt(match.group())} in lattice header",
                             line=lineno,
                             column=match.start() + 1,
                             expected=("integer",),
@@ -505,7 +608,8 @@ def _parse_session_text(text: str) -> Session:
                     rows.append(row)
                 session.lattice = abelian.RelationLattice.from_rows(rows, dim=dim)
             elif head == "punctures:":
-                session.plane = planes.parse_punctures_line(line, line=lineno)
+                raw = lines[lineno - 1].split("#", 1)[0]  # with the file's columns
+                session.plane = planes.parse_punctures_line(raw, line=lineno)
             elif head == "bind":
                 parts = rest.split(None, 2)
                 if len(parts) < 2:
@@ -551,13 +655,46 @@ def _parse_session_text(text: str) -> Session:
 # --- entry point -----------------------------------------------------------
 
 
-def _run_line(session: Session, line: str, out: TextIO, err: TextIO) -> int:
+def _lex(line: str) -> list[Token]:
+    """Split a command line into words as ``shlex.split(line, comments=True)`` does.
+
+    Words are separated by spaces, tabs, carriage returns and newlines only.
+    ``'...'`` quotes everything up to the next ``'``.  ``"..."`` quotes too,
+    and inside it a backslash escapes a ``"`` or a backslash and is kept
+    before any other character.  Outside quotes, a backslash escapes the
+    character after it, and a ``#`` ends the line, in the middle of a word
+    too.  Each word comes with the offsets in ``line`` where its text starts
+    and ends, quotes included.  An unclosed quote and a trailing backslash
+    are parse errors at their column.
+    """
+    if not _QUOTING_RE.search(line):
+        return [(m[0], m.start(), m.end()) for m in _PLAIN_WORD_RE.finditer(line)]
+    tokens: list[Token] = []
+    for m in _LEX_RE.finditer(line):
+        if m.lastgroup == "word":
+            text = m[0]
+            if _QUOTING_RE.search(text):
+                text = "".join(
+                    _QUOTED_ESCAPE_RE.sub(r"\1", piece.group(2))
+                    if piece.lastindex == 2
+                    else piece.group(piece.lastindex)
+                    for piece in _PIECE_RE.finditer(text)
+                )
+            tokens.append((text, m.start(), m.end()))
+        elif m.lastgroup == "open":
+            what = "no closing quotation" if m[0] != "\\" else "no character after a backslash"
+            raise ParseError(what, column=m.start() + 1)
+    return tokens
+
+
+def _run_line(session: Session, line: str, lineno: int, out: TextIO, err: TextIO) -> int:
     try:
-        argv = shlex.split(line, comments=True)
-    except ValueError as exc:
-        print(f"error: 1:1: {exc}", file=err)
-        return 2
-    _, out_text, err_text, code = run_command(session, argv)
+        tokens = _lex(line)
+    except ParseError as exc:
+        exc.line = lineno
+        out_text, err_text, code = None, str(exc), 2
+    else:
+        out_text, err_text, code = _execute(session, line, tokens, lineno)
     if out_text is not None:
         print(out_text, file=out)
     if err_text is not None:
@@ -574,14 +711,14 @@ def run_script(
     """Run commands line by line; keeps going after errors.
 
     The exit code is 0 when everything succeeded, otherwise the code of the
-    first failing command.
+    first failing command.  A syntax error names its line in ``text``.
     """
     session = session if session is not None else Session()
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     exit_code = 0
-    for line in text.splitlines():
-        code = _run_line(session, line, out, err)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        code = _run_line(session, line, lineno, out, err)
         if code and not exit_code:
             exit_code = code
     return exit_code
@@ -600,7 +737,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     session = Session()
     if ns.command is not None:
-        return _run_line(session, ns.command, sys.stdout, sys.stderr)
+        return _run_line(session, ns.command, 1, sys.stdout, sys.stderr)
     if ns.script is not None:
         try:
             text = Path(ns.script).read_text(encoding="utf-8")

@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from .errors import DomainError, ParseError, RerouteError
+from .errors import DomainError, ParseError, RerouteError, check_digit_limit, excerpt
 from .words import GeneratorSet, Sign, SignedWord, _check_sign, free_reduce
 
 
@@ -566,24 +566,30 @@ def sample_loops(plane: PuncturedPlane, count: int, seed: int) -> list[FlaggedLo
 # --- text formats ----------------------------------------------------------
 
 _POINT_RE = re.compile(r"\(([^(),]+),([^(),]+)\)")
+_FIELD_RE = re.compile(r"\S+")
 
 
 def format_point(p: Point) -> str:
     return f"({p.x},{p.y})"
 
 
-def parse_point(token: str, *, line: int = 1) -> Point:
+def parse_point(token: str, *, line: int = 1, column: int = 1) -> Point:
     m = _POINT_RE.fullmatch(token.strip())
     if m is None:
         raise ParseError(
-            f"bad point {token!r}",
+            f"bad point {excerpt(token)}",
             line=line,
+            column=column,
             expected=("'(x,y)' with rational coordinates",),
         )
     try:
         return Point(Fraction(m.group(1).strip()), Fraction(m.group(2).strip()))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational coordinate in {token!r}", line=line) from None
+        for text in m.groups():
+            check_digit_limit(text.strip())
+        raise ParseError(
+            f"bad rational coordinate in {excerpt(token)}", line=line, column=column
+        ) from None
 
 
 def _format_coordinate(n: int, den: int) -> str:
@@ -602,28 +608,43 @@ def format_loop_literal(loop: FlaggedLoop) -> str:
 
 
 def parse_loop_literal(text: str, *, line: int = 1) -> FlaggedLoop:
-    tokens = text.split()
-    if not tokens or tokens[0] != "loop":
+    """Parse ``loop <flag> <F|B> (x,y) ...``; errors name each field's column in ``text``."""
+    fields = list(_FIELD_RE.finditer(text))
+    if not fields or fields[0].group() != "loop":
         raise ParseError(
             "loop literal must start with 'loop'",
             line=line,
-            column=1,
+            column=fields[0].start() + 1 if fields else 1,
             expected=("'loop <flag> <F|B> (x,y) ...'",),
         )
-    if len(tokens) < 3:
-        raise ParseError("loop literal is missing its header fields", line=line)
-    try:
-        flag = int(tokens[1])
-    except ValueError:
+    if len(fields) < 3:
         raise ParseError(
-            f"bad flag index {tokens[1]!r}", line=line, expected=("integer",)
+            "loop literal is missing its header fields",
+            line=line,
+            column=fields[-1].end() + 1,
+        )
+    flag_field, traversal_field = fields[1], fields[2]
+    try:
+        flag = int(flag_field.group())
+    except ValueError:
+        check_digit_limit(flag_field.group())
+        raise ParseError(
+            f"bad flag index {excerpt(flag_field.group())}",
+            line=line,
+            column=flag_field.start() + 1,
+            expected=("integer",),
         ) from None
-    traversal = tokens[2]
+    traversal = traversal_field.group()
     if traversal not in ("F", "B"):
         raise ParseError(
-            f"bad traversal {traversal!r}", line=line, expected=("'F'", "'B'")
+            f"bad traversal {excerpt(traversal)}",
+            line=line,
+            column=traversal_field.start() + 1,
+            expected=("'F'", "'B'"),
         )
-    vertices = tuple(parse_point(tok, line=line) for tok in tokens[3:])
+    vertices = tuple(
+        parse_point(m.group(), line=line, column=m.start() + 1) for m in fields[3:]
+    )
     if len(vertices) < 3:
         raise ParseError("loop literal needs at least three vertices", line=line)
     try:
@@ -637,19 +658,22 @@ def format_punctures_line(plane: PuncturedPlane) -> str:
 
 
 def parse_punctures_line(text: str, *, line: int = 1) -> PuncturedPlane:
-    """Inverse of :func:`format_punctures_line`."""
-    if not text.startswith("punctures:"):
+    """Inverse of :func:`format_punctures_line`; errors name each point's column."""
+    head = re.match(r"\s*punctures:", text)
+    if head is None:
         raise ParseError(
             "plane file must open with a 'punctures:' line",
             line=line,
             column=1,
             expected=("'punctures: (x,y) ...'",),
         )
-    tokens = text[len("punctures:"):].split()
-    if not tokens:
+    fields = list(_FIELD_RE.finditer(text, head.end()))
+    if not fields:
         raise ParseError("no punctures declared", line=line)
     try:
-        return PuncturedPlane(tuple(parse_point(tok, line=line) for tok in tokens))
+        return PuncturedPlane(
+            tuple(parse_point(m.group(), line=line, column=m.start() + 1) for m in fields)
+        )
     except DomainError as exc:
         raise ParseError(str(exc), line=line) from None
 
@@ -669,8 +693,8 @@ def parse_plane_file(text: str) -> tuple[PuncturedPlane, list[FlaggedLoop]]:
     plane: PuncturedPlane | None = None
     loops: list[FlaggedLoop] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]  # not stripped, so that columns stay the file's
+        if not line.strip():
             continue
         if plane is None:
             plane = parse_punctures_line(line, line=lineno)

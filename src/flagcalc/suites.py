@@ -25,8 +25,6 @@ from .words import MINUS, PLUS, GeneratorSet
 
 _SIGNS = (PLUS, MINUS)
 _SEED = 514
-# Builds a record from fields already checked, skipping its class's ``__new__``.
-_new = tuple.__new__
 # An element of H_1 = Z^k: a word's abelianization or a loop's winding profile.
 Vector = tuple[int, ...]
 
@@ -100,10 +98,10 @@ def laws_suite() -> SuiteResult:
 def trees_suite() -> SuiteResult:
     """Flip realizes the involution; word round-trips; orbits stay in class.
 
-    The flip sweep decides each tree ``t`` of 2 to 5 leaves once: ``eval_tree``
-    of ``(flip(t), +)`` must give the codes of ``t`` at ``-``.  Those come from
+    The flip sweep decides each tree ``t`` of 2 to 5 leaves once: the codes of
+    ``flip(t)`` at ``+`` must be the codes of ``t`` at ``-``.  Those come from
     a table of every smaller tree's codes at ``+`` and at ``-``, composed from
-    its children's entries and not by ``eval_tree``: ``t`` at ``+`` reads
+    its children's entries and not by the evaluator: ``t`` at ``+`` reads
     ``form(left, sigma) + form(right, -tau)`` and at ``-`` its involution
     ``form(right, tau) + form(left, -sigma)``.  Flip is a bijection on the
     trees of each size, so every tree is still evaluated once.  The table
@@ -130,9 +128,8 @@ def trees_suite() -> SuiteResult:
                     right_minus if tau > 0 else right_plus
                 )
                 table[tree] = (plus, minus)
-            flipped = _new(trees.RootedPresentation, (trees.flip(tree), PLUS))
             result.tick(
-                trees.eval_tree(flipped, gens).codes == minus,
+                trees._eval_codes(trees.flip(tree), PLUS) == minus,
                 "flip mismatch on a %d-leaf tree",
                 size,
             )

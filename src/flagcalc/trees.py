@@ -113,7 +113,17 @@ class RootedPresentation(_RootedRecord):
 
 
 def eval_tree(rooted: RootedPresentation, gens: GeneratorSet) -> SignedWord:
-    """Evaluate to a signed word; length equals the number of leaves.
+    """Evaluate to a signed word; length equals the number of leaves."""
+    codes = _eval_codes(rooted.tree, rooted.root_sign)
+    n = len(gens)
+    if max(codes) >= 2 * n:
+        gen = next(c >> 1 for c in codes if c >= 2 * n)
+        raise DomainError(f"letter index {gen} out of range for {n} generators")
+    return SignedWord._of_codes(gens, codes)
+
+
+def _eval_codes(tree: PairingTree, sign: Sign) -> tuple[int, ...]:
+    """The letter codes of ``tree`` at ``sign``, unchecked against any generator set.
 
     Pushes signs down to the leaves: at ``-`` a node reads as the involution
     of its ``+`` value, ``right`` at ``tau`` then ``left`` at ``-sigma``.
@@ -121,7 +131,7 @@ def eval_tree(rooted: RootedPresentation, gens: GeneratorSet) -> SignedWord:
     on the stack.
     """
     codes: list[int] = []
-    stack = [rooted]
+    stack = [(tree, sign)]
     while stack:
         tree, sign = stack.pop()
         while type(tree) is Node:
@@ -133,11 +143,7 @@ def eval_tree(rooted: RootedPresentation, gens: GeneratorSet) -> SignedWord:
                 stack.append((left, -sigma))
                 tree, sign = right, tau
         codes.append(2 * tree[0] + (sign < 0))
-    n = len(gens)
-    if max(codes) >= 2 * n:
-        gen = next(c >> 1 for c in codes if c >= 2 * n)
-        raise DomainError(f"letter index {gen} out of range for {n} generators")
-    return SignedWord._of_codes(gens, tuple(codes))
+    return tuple(codes)
 
 
 def flip(node: PairingTree) -> Node:

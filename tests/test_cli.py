@@ -129,9 +129,10 @@ class TestErrorCodes:
         )
 
     def test_bad_vector_entry_reports_its_own_column(self):
+        # The column counts in the line: the literal starts at column 7.
         _, _, err, code = run(Session(), "coset (-3, -)")
         assert (err, code) == (
-            "1:6: bad integer '-' in vector literal (expected integer)",
+            "1:12: bad integer '-' in vector literal (expected integer)",
             2,
         )
 
@@ -421,6 +422,28 @@ class TestScriptRunner:
         out, err, code = script_output("# heading\n\ngens a b  # trailing\n")
         assert (out, err, code) == ("generators: a b\n", "", 0)
 
+    def test_errors_name_their_script_line_and_column(self):
+        out, err, code = script_output(
+            "gens a b\neval [+ (pair ++ leaf:a   leaf:z)]\ninv a+ b+ q+\n"
+        )
+        assert (out, code) == ("generators: a b\n", 2)
+        assert err == (
+            "error: 2:27: unknown generator 'z' (expected declared generator name)\n"
+            "error: 3:11: unknown generator 'q' (expected declared generator name)\n"
+        )
+
+    def test_errors_script_matches_golden(self):
+        script = (DATA / "errors_script.txt").read_text(encoding="utf-8")
+        out, err, code = script_output(script)
+        assert (out, code) == ("generators: a b\n", 2)
+        assert err == (DATA / "errors_golden.txt").read_text(encoding="utf-8")
+
+    def test_a_file_error_keeps_its_place_in_the_file(self, tmp_path):
+        lat = tmp_path / "bad.lat"
+        lat.write_text("1 0\n-3 -\n")
+        out, err, code = script_output(f"gens a b\n\nlattice load {lat}\n")
+        assert (err, code) == ("error: 2:4: bad integer '-' in lattice row (expected integer)\n", 2)
+
     def test_deterministic_output(self):
         text = (
             "gens a b c\n"
@@ -429,6 +452,57 @@ class TestScriptRunner:
             "oracle sweep --samples 3 --seed 5\n"
         )
         assert script_output(text) == script_output(text)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on reading integers"
+)
+class TestDigitLimit:
+    """A number longer than the interpreter reads is a resource error, not a bad token."""
+
+    @staticmethod
+    def long_number() -> str:
+        return "9" * (sys.get_int_max_str_digits() + 1)
+
+    def assert_refused(self, err: str | None, code: int) -> None:
+        limit = sys.get_int_max_str_digits()
+        assert code == 1
+        assert f"longer than {limit} digits" in err
+        assert len(err) < 200
+
+    def test_vector_entry(self):
+        _, _, err, code = run(Session(), f"coset ({self.long_number()}, 1)")
+        self.assert_refused(err, code)
+
+    def test_option_value(self):
+        line = f"oracle sweep --samples 1 --seed {self.long_number()}"
+        _, _, err, code = run(Session(), line)
+        self.assert_refused(err, code)
+
+    def test_lattice_row_and_header(self, tmp_path):
+        lat = tmp_path / "long.lat"
+        lat.write_text(f"1 {self.long_number()}\n")
+        self.assert_refused(*run(Session(), f"lattice load {lat}")[2:])
+        session_file = tmp_path / "long.session"
+        session_file.write_text(f"gens a\nlattice {self.long_number()} 1\n")
+        self.assert_refused(*run(Session(), f"load {session_file}")[2:])
+
+    def test_coordinate_and_flag_index(self, tmp_path):
+        for loop in (
+            f"loop 0 F (1/{self.long_number()},1) (2,2) (3,1)",
+            f"loop {self.long_number()} F (1,1) (2,2) (3,1)",
+        ):
+            path = tmp_path / "long.plane"
+            path.write_text(f"punctures: (0,0)\n{loop}\n")
+            self.assert_refused(*run(Session(), f"plane load {path}")[2:])
+
+    def test_a_long_bad_token_is_echoed_in_part(self):
+        _, _, err, code = run(Session(), f"coset ({'9' * 100}x, 1)")
+        assert (err, code) == (
+            f"1:8: bad integer {'9' * 40!r}... (101 characters) in vector literal"
+            " (expected integer)",
+            2,
+        )
 
 
 def deep_word(n: int = 10_000) -> list[str]:

@@ -273,6 +273,28 @@ class TestConnectedSum:
                     assert winding_number(total, ORIGIN) == sigma * w1 - tau * w2
 
 
+    def test_auto_moves_on_when_a_puncture_blocks_the_first_corridor(self):
+        # (1/3,-2) lies on the corridor from the flag (1/3,-1) straight down
+        # to the first default base (1/3,-12), and off the one to (2/7,-14).
+        plane = PuncturedPlane((ORIGIN, Point.of(Fraction(1, 3), -2)))
+        loop = FlaggedLoop(
+            (
+                Point.of(Fraction(1, 3), -1),
+                Point.of(2, 0),
+                Point.of(Fraction(1, 3), 1),
+                Point.of(-2, 0),
+            ),
+            0,
+        )
+        first, second = DEFAULT_BASE_POINTS[:2]
+        with pytest.raises(RerouteError):
+            connected_sum(loop, 1, -1, loop, first, plane)
+        total = connected_sum_auto(loop, 1, -1, loop, plane)
+        assert total.vertices[total.flag_vertex] == second == Point.of(Fraction(2, 7), -14)
+        assert total == connected_sum(loop, 1, -1, loop, second, plane)
+        assert winding_profile(total, plane) == (2, 0)
+
+
 class TestCrossingWord:
     def test_square_crossings(self):
         assert format_free_word(crossing_word(CCW_SQUARE, ONE_PUNCTURE)) == "x1"
@@ -417,6 +439,34 @@ class TestLoopText:
         text = "punctures: (0,0)\nloop 0 F (-1,0) (1,0) (1,2) (-1,2)\n"
         with pytest.raises(ParseError):
             parse_plane_file(text)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("punctures: (0,0) (5,x)\n", "1:18: bad rational coordinate in '(5,x)'"),
+            (
+                "punctures: (0,0)\nloop 0 F (1,1) (2,-1) (3,1/0)\n",
+                "2:23: bad rational coordinate in '(3,1/0)'",
+            ),
+            (
+                "punctures: (0,0)\n  loop 0 F (1,1) (2,-1) 3,1\n",
+                "2:25: bad point '3,1' (expected '(x,y)' with rational coordinates)",
+            ),
+            (
+                "punctures: (0,0)\n  loop x F (1,1) (2,-1) (3,1)\n",
+                "2:8: bad flag index 'x' (expected integer)",
+            ),
+            (
+                "punctures: (0,0)\nloop 0 G (1,1) (2,-1) (3,1)\n",
+                "2:8: bad traversal 'G' (expected 'F' or 'B')",
+            ),
+            ("punctures: (0,0)\nloop 0\n", "2:7: loop literal is missing its header fields"),
+        ],
+    )
+    def test_plane_file_errors_name_their_field_column(self, text, error):
+        with pytest.raises(ParseError) as caught:
+            parse_plane_file(text)
+        assert str(caught.value) == error
 
     def test_plane_file_requires_punctures_first(self):
         with pytest.raises(ParseError):

@@ -19,7 +19,6 @@ from flagcalc.suites import (
     trees_suite,
     verify_group_law,
 )
-from flagcalc.words import SignedWord
 
 
 def test_tick_formats_only_failures():
@@ -56,8 +55,8 @@ def _flip_mismatches(result: SuiteResult) -> int:
 
 
 def test_trees_suite_catches_an_eval_that_negates_deep_taus(monkeypatch):
-    def eval_negating_deep_taus(rooted, gens):
-        """``eval_tree`` with ``tau`` negated on every node at depth 2 or more."""
+    def eval_negating_deep_taus(tree, sign):
+        """``_eval_codes`` with ``tau`` negated on every node at depth 2 or more."""
 
         def form(tree, sign, depth):
             if type(tree) is trees.Leaf:
@@ -69,10 +68,9 @@ def test_trees_suite_catches_an_eval_that_negates_deep_taus(monkeypatch):
                 return form(left, sigma, depth + 1) + form(right, -tau, depth + 1)
             return form(right, tau, depth + 1) + form(left, -sigma, depth + 1)
 
-        codes = form(rooted.tree, rooted.root_sign, 0)
-        return SignedWord._of_codes(gens, tuple(codes))
+        return tuple(form(tree, sign, 0))
 
-    monkeypatch.setattr(trees, "eval_tree", eval_negating_deep_taus)
+    monkeypatch.setattr(trees, "_eval_codes", eval_negating_deep_taus)
     result = trees_suite()
     assert len(result.failures) == 120_420
     assert _flip_mismatches(result) == 118_784
