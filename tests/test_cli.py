@@ -136,6 +136,106 @@ class TestErrorCodes:
             2,
         )
 
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            (
+                "eval [+ (pair ++ leaf:a leaf:b)",
+                "2:32: unexpected end of tree literal (expected ']')",
+            ),
+            (
+                "eval [+ (pair ++ leaf:a leaf:b",
+                "2:31: unexpected end of tree literal (expected ')')",
+            ),
+            (
+                "eval [+ (pair ++ leaf:a",
+                "2:24: unexpected end of tree literal (expected 'leaf:<name>' or '(pair ...')",
+            ),
+            ("eval [x (pair ++ leaf:a leaf:b)]", "2:7: bad root sign 'x' (expected '+' or '-')"),
+            ("eval [+ leaf:a leaf:b]", "2:16: expected ']', got 'leaf:b' (expected ']')"),
+            ("eval [+ leaf:a] leaf:b", "2:17: trailing input 'leaf:b' (expected end of literal)"),
+            ("eval leaf:a )", "2:13: trailing input ')' (expected end of literal)"),
+            ("eval (pear ++ leaf:a leaf:b)", "2:7: expected 'pair', got 'pear' (expected 'pair')"),
+            (
+                "eval (pair ++ leaf:a blob)",
+                "2:22: bad tree token 'blob' (expected 'leaf:<name>' or '(pair <st> <tree> <tree>)')",
+            ),
+            (
+                "eval (pair ++ leaf:a leaf:b leaf:a)",
+                "2:29: expected ')', got 'leaf:a' (expected ')')",
+            ),
+            (
+                "eval (pair +x leaf:a leaf:b)",
+                "2:12: bad sign pair '+x' (expected two signs like '+-')",
+            ),
+            ("coset 1, 2", "2:7: vector literal must be parenthesized (expected '(n1, n2, ...)')"),
+            (
+                "coset (1, 2",
+                "2:7: vector literal must be parenthesized (expected '(n1, n2, ...)')",
+            ),
+            ("coset ()", "2:8: vector literal needs at least one entry"),
+            ("coset (  )", "2:8: vector literal needs at least one entry"),
+        ],
+    )
+    def test_literal_errors_name_their_line_and_column(self, line, error):
+        _, err, code = script_output(f"gens a b\n{line}\n")
+        assert (err, code) == (f"error: {error}\n", 2)
+
+    @pytest.mark.parametrize(
+        "base, error",
+        [
+            ("1,2", "2:27: bad point '1,2' (expected '(x,y)' with rational coordinates)"),
+            ("(1,x)", "2:27: bad rational coordinate in '(1,x)'"),
+            (" (1/0,2)", "2:28: bad rational coordinate in '(1/0,2)'"),
+        ],
+    )
+    def test_a_bad_base_point_names_its_column(self, base, error):
+        script = f"plane load {DATA / 'loops.plane'}\nsum +- loop1 loop2 --base {base}\n"
+        _, err, code = script_output(script)
+        assert (err, code) == (f"error: {error}\n", 2)
+
+    @pytest.mark.parametrize(
+        "command, text, error",
+        [
+            ("lattice load", "1 0\n# c\n2 0 0\n", "3:1: row has 3 entries, expected 2"),
+            ("lattice load", "  1 0 0\n\n1 2\n", "3:1: row has 2 entries, expected 3"),
+            ("load", "canon a+\ngens a\n", "1:1: 'canon' line before any 'gens' line"),
+            ("load", "gens a\nbind w\n", "2:1: usage: bind <name> <word|tree|loop> <literal>"),
+            ("load", "gens a\nbind 9w word a+\n", "2:1: bad binding name '9w'"),
+            (
+                "load",
+                "gens a\nbind w word a+\nbind w word a-\n", "3:1: duplicate binding name 'w'",
+            ),
+            (
+                "load",
+                "gens a\nbind w blob a+\n",
+                "2:1: unknown binding kind 'blob' (expected word or tree or loop)",
+            ),
+            ("load", "bind w word a+\ngens a\n", "1:1: word binding before any 'gens' line"),
+            (
+                "load",
+                "bind l loop 0 F (1,1) (2,2) (3,1)\n",
+                "1:1: loop binding before any 'punctures:' line",
+            ),
+            # An error about a whole literal names column 1 of its line.
+            (
+                "load",
+                "punctures: (0,0)\nbind l loop 9 F (1,1) (2,2) (3,1)\n",
+                "2:1: flag vertex 9 out of range for 3 vertices",
+            ),
+            (
+                "load",
+                "punctures: (0,0)\nbind l loop 0 F (1,1) (2,2)\n",
+                "2:1: loop literal needs at least three vertices",
+            ),
+        ],
+    )
+    def test_file_errors_name_their_line_and_column(self, tmp_path, command, text, error):
+        path = tmp_path / "file"
+        path.write_text(text)
+        _, _, err, code = run(Session(), f"{command} {path}")
+        assert (err, code) == (error, 2)
+
     def test_missing_file_is_domain_error(self):
         _, _, err, code = run(Session(), "lattice load /nonexistent.lat")
         assert code == 1
@@ -394,6 +494,16 @@ class TestSessionPersistence:
             (
                 "gens a b\nlattice 2 3\n1 0 0\n2 0\n",
                 "4:1: lattice row (2, 0) does not have dimension 3",
+            ),
+            ("gens a\nlattice 2\n", "2:1: lattice header needs row count and dimension"),
+            ("gens a\nlattice 2 1 0\n", "2:1: lattice header needs row count and dimension"),
+            (
+                "gens a\nlattice 2 1\n3\n",
+                "2:1: lattice header promises more rows than the file has",
+            ),
+            (
+                "gens a\nlattice 3 1  # rows\n3\n4\n",
+                "2:1: lattice header promises more rows than the file has",
             ),
         ],
     )

@@ -461,6 +461,16 @@ class TestLoopText:
                 "2:8: bad traversal 'G' (expected 'F' or 'B')",
             ),
             ("punctures: (0,0)\nloop 0\n", "2:7: loop literal is missing its header fields"),
+            ("", "1:1: plane file is empty"),
+            ("# nothing\n\n", "1:1: plane file is empty"),
+            (
+                "punctures: (0,0) (0,1)\n",
+                "1:1: punctures must have pairwise distinct x-coordinates",
+            ),
+            (
+                "punctures: (0,0)\n  loop 9 F (1,1) (2,2) (3,1)\n",
+                "2:1: flag vertex 9 out of range for 3 vertices",
+            ),
         ],
     )
     def test_plane_file_errors_name_their_field_column(self, text, error):
