@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, ParseError, check_digit_limit, excerpt
+from .errors import DomainError, ParseError, parse_at, read_int, strip_comment
 from .words import GeneratorSet, SignedWord, letter_tokens
 
 
@@ -197,51 +197,37 @@ def parse_vector(text: str) -> tuple[int, ...]:
     if not inner.strip():
         raise ParseError("vector literal needs at least one entry", column=2)
     coords = []
-    start = 1  # index in ``stripped`` of the current comma part
+    column = 2  # of the current comma part in ``stripped``
     for part in inner.split(","):
-        entry = part.strip()
         try:
-            coords.append(int(entry))
+            coords.append(int(part))
         except ValueError:
-            check_digit_limit(entry)
-            raise ParseError(
-                f"bad integer {excerpt(entry)} in vector literal",
-                column=start + len(part) - len(part.lstrip()) + 1,
-                expected=("integer",),
-            ) from None
-        start += len(part) + 1
+            # Only a refused entry goes to the integer reader, which raises
+            # the error, placed at the entry's column.
+            start = column + len(part) - len(part.lstrip())
+            parse_at(1, start, read_int, part.strip(), "bad integer {} in vector literal")
+        column += len(part) + 1
     return tuple(coords)
 
 
-def parse_lattice_row(raw: str, *, line: int = 1) -> list[int]:
+def parse_lattice_row(raw: str) -> list[int]:
     """Parse one lattice row: integers, then an optional ``#`` comment."""
-    row = []
-    for match in re.finditer(r"\S+", raw.split("#", 1)[0]):
-        try:
-            row.append(int(match.group()))
-        except ValueError:
-            check_digit_limit(match.group())
-            raise ParseError(
-                f"bad integer {excerpt(match.group())} in lattice row",
-                line=line,
-                column=match.start() + 1,
-                expected=("integer",),
-            ) from None
-    return row
+    return [
+        parse_at(1, m.start() + 1, read_int, m.group(), "bad integer {} in lattice row")
+        for m in re.finditer(r"\S+", strip_comment(raw))
+    ]
 
 
 def parse_lattice(text: str) -> RelationLattice:
     """Parse a lattice file: one row per line, blank and comment lines skipped."""
     rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        row = parse_lattice_row(raw, line=lineno)
+        row = parse_at(lineno, 1, parse_lattice_row, raw)
         if not row:
             continue
         if rows and len(row) != len(rows[0]):
             raise ParseError(
-                f"row has {len(row)} entries, expected {len(rows[0])}",
-                line=lineno,
-                column=1,
+                f"row has {len(row)} entries, expected {len(rows[0])}", line=lineno
             )
         rows.append(row)
     if not rows:

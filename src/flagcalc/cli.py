@@ -34,6 +34,9 @@ from .errors import (
     ResourceLimitError,
     check_digit_limit,
     excerpt,
+    parse_at,
+    read_int,
+    strip_comment,
 )
 
 # Not typing.Union, for the reason given at ``trees.PairingTree``.
@@ -44,6 +47,7 @@ _T = TypeVar("_T")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LOOP_NAME_RE = re.compile(r"loop(\d+)")
+_FIELD_RE = re.compile(r"\S+")
 # The characters that quote, escape or comment; a line without them splits on
 # whitespace alone.
 _QUOTING_RE = re.compile(r"['\"\\#]")
@@ -89,27 +93,18 @@ def _require_plane(session: Session) -> planes.PuncturedPlane:
     return session.plane
 
 
-def _parse_at(column: int, parse: Callable[..., _T], text: str, *args: object) -> _T:
-    """``parse(text, *args)``; a parse error moves to ``text``'s ``column`` in the line."""
-    try:
-        return parse(text, *args)
-    except ParseError as exc:
-        exc.column += column - 1
-        raise
-
-
 def _resolve_word(session: Session, text: str, column: int) -> words.SignedWord:
     bound = session.bindings.get(text.strip())
     if isinstance(bound, words.SignedWord):
         return bound
-    return _parse_at(column, words.parse_word, text, _require_gens(session))
+    return parse_at(1, column, words.parse_word, text, _require_gens(session))
 
 
 def _resolve_tree(session: Session, text: str, column: int) -> trees.RootedPresentation:
     bound = session.bindings.get(text.strip())
     if isinstance(bound, trees.RootedPresentation):
         return bound
-    return _parse_at(column, trees.parse_tree, text, _require_gens(session))
+    return parse_at(1, column, trees.parse_tree, text, _require_gens(session))
 
 
 def _resolve_loop(session: Session, name: str) -> planes.FlaggedLoop:
@@ -152,11 +147,7 @@ def _int_option(opts: dict[str, Token], name: str, default: int | None = None) -
             raise ParseError(f"missing required option --{name}")
         return default
     value, start, _ = opts[name]
-    try:
-        return int(value)
-    except ValueError:
-        check_digit_limit(value)
-        raise ParseError(f"option --{name} needs an integer", column=start + 1) from None
+    return parse_at(1, start + 1, read_int, value, f"option --{name} needs an integer", ())
 
 
 def _values(tokens: list[Token]) -> list[str]:
@@ -211,6 +202,8 @@ def _next_loop_name(session: Session) -> str:
     for name in session.bindings:
         m = _LOOP_NAME_RE.fullmatch(name)
         if m:
+            # The number after it may have one digit more.
+            check_digit_limit(m.group(1) + "0")
             highest = max(highest, int(m.group(1)))
     return f"loop{highest + 1}"
 
@@ -254,7 +247,7 @@ def _cmd_class(session: Session, line: str, args: list[Token]) -> tuple[str, int
 def _cmd_pair(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     _arity(args, 3, "pair <st> <word> <word> (quote multi-letter words)")
     (st, st_start, _), a_token, b_token = args
-    sigma, tau = words.parse_sign_pair(st, column=st_start + 1)
+    sigma, tau = parse_at(1, st_start + 1, words.parse_sign_pair, st)
     a = words.class_of(_resolve_word(session, *_word_at(line, a_token)), session.canon)
     b = words.class_of(_resolve_word(session, *_word_at(line, b_token)), session.canon)
     return words.format_word(words.pair(a, sigma, tau, b)), 0
@@ -297,7 +290,7 @@ def _cmd_ab(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
 
 def _cmd_coset(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     text, column = _literal(line, args, "coset <vector>")
-    vector = _parse_at(column, abelian.parse_vector, text)
+    vector = parse_at(1, column, abelian.parse_vector, text)
     if session.lattice is not None:  # else the free lattice, which reduces nothing
         vector = session.lattice.reduce(vector)
     return abelian.format_vector(vector), 0
@@ -347,12 +340,12 @@ def _cmd_sum(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     if "base" not in opts:
         raise ParseError("missing required option --base")
     (st, st_start, _), (name1, _, _), (name2, _, _) = pos
-    sigma, tau = words.parse_sign_pair(st, column=st_start + 1)
+    sigma, tau = parse_at(1, st_start + 1, words.parse_sign_pair, st)
     plane = _require_plane(session)
     l1 = _resolve_loop(session, name1)
     l2 = _resolve_loop(session, name2)
     base_text, base_start, _ = opts["base"]
-    base = planes.parse_point(base_text, column=base_start + 1)
+    base = parse_at(1, base_start + 1, planes.parse_point, base_text)
     result = planes.connected_sum(l1, sigma, tau, l2, base, plane)
     name = _next_loop_name(session)
     session.bindings[name] = result
@@ -473,30 +466,16 @@ def run_command(
     for value in argv:
         tokens.append((value, start, start + len(value)))
         start += len(value) + 1
-    return (session, *_execute(session, " ".join(argv), tokens, 1))
+    return (session, *_execute(session, " ".join(argv), 1, tokens))
 
 
 def _execute(
-    session: Session, line: str, tokens: list[Token], lineno: int
+    session: Session, line: str, lineno: int, tokens: list[Token] | None = None
 ) -> tuple[str | None, str | None, int]:
-    """Run the command that ``tokens`` of ``line`` spell; returns (stdout, stderr, code)."""
-    if not tokens:
-        return None, None, 0
-    name, start, _ = tokens[0]
+    """Run ``line``, line ``lineno`` of a script; ``tokens`` are its words, if given."""
     try:
-        handler = _HANDLERS.get(name)
-        if handler is None:
-            raise ParseError(
-                f"unknown command {excerpt(name)}",
-                column=start + 1,
-                expected=tuple(sorted(_HANDLERS)),
-            )
-        text, code = handler(session, line, tokens[1:])
-        return text, None, code
-    except ParseError as exc:
-        exc.line = lineno
-        return None, str(exc), 2
-    except _FileParseError as exc:
+        text, code = parse_at(lineno, 1, _dispatch, line, session, tokens)
+    except (ParseError, _FileParseError) as exc:
         return None, str(exc), 2
     except FlagcalcError as exc:
         return None, str(exc), 1
@@ -504,6 +483,22 @@ def _execute(
         # ``orbit`` rewrites trees recursively, one frame per level, and
         # ``move_closure`` refuses a tree nested past the recursion limit.
         return None, "input nested too deeply for this command", 1
+    return text, None, code
+
+
+def _dispatch(line: str, session: Session, tokens: list[Token] | None) -> tuple[str | None, int]:
+    tokens = _lex(line) if tokens is None else tokens
+    if not tokens:
+        return None, 0
+    name, start, _ = tokens[0]
+    handler = _HANDLERS.get(name)
+    if handler is None:
+        raise ParseError(
+            f"unknown command {excerpt(name)}",
+            column=start + 1,
+            expected=tuple(sorted(_HANDLERS)),
+        )
+    return handler(session, line, tokens[1:])
 
 
 # --- session files ---------------------------------------------------------
@@ -540,12 +535,14 @@ def _parse_session_text(text: str) -> Session:
     i = 0
     while i < len(lines):
         lineno = i + 1
-        line = lines[i].split("#", 1)[0].strip()
+        line = strip_comment(lines[i]).rstrip()
         i += 1
-        if not line:
+        # Each field, and each payload after its head or kind, is read where
+        # it stands in the line, so an error names its column there.
+        fields = list(_FIELD_RE.finditer(line))
+        if not fields:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head = fields[0].group()
         if head in ("gens", "policy", "lattice", "punctures:"):
             # At most once each: a second one could break the bindings read
             # under the first.
@@ -554,45 +551,33 @@ def _parse_session_text(text: str) -> Session:
             seen.add(head)
         try:
             if head == "gens":
-                session.gens = words.GeneratorSet.of(*rest.split())
+                session.gens = words.GeneratorSet.of(*(f.group() for f in fields[1:]))
             elif head == "policy":
                 # Older files name the canonical choice; the 'canon' lines
                 # already say it.
-                if rest not in ("lex", "explicit"):
+                policy = line[fields[0].end():].strip()
+                if policy not in ("lex", "explicit"):
                     raise ParseError(
-                        f"unknown policy {rest!r}",
-                        line=lineno,
-                        expected=("lex", "explicit"),
+                        f"unknown policy {policy!r}", line=lineno, expected=("lex", "explicit")
                     )
             elif head == "canon":
                 gens = session.gens
                 if gens is None:
                     raise DomainError("'canon' line before any 'gens' line")
-                canon.add(words.parse_word(rest, gens, line=lineno))
+                end = fields[0].end()
+                canon.add(parse_at(lineno, end + 1, words.parse_word, line[end:], gens))
             elif head == "lattice":
-                # The header's fields, after "lattice", with their columns.
-                fields = list(re.finditer(r"\S+", lines[lineno - 1].split("#", 1)[0]))[1:]
-                if len(fields) != 2:
+                if len(fields) != 3:
                     raise ParseError(
                         "lattice header needs row count and dimension", line=lineno
                     )
-                header = []
-                for match in fields:
-                    try:
-                        header.append(int(match.group()))
-                    except ValueError:
-                        check_digit_limit(match.group())
-                        raise ParseError(
-                            f"bad integer {excerpt(match.group())} in lattice header",
-                            line=lineno,
-                            column=match.start() + 1,
-                            expected=("integer",),
-                        ) from None
-                n_rows, dim = header
+                message = "bad integer {} in lattice header"
+                n_rows, dim = (
+                    parse_at(lineno, f.start() + 1, read_int, f.group(), message)
+                    for f in fields[1:]
+                )
                 if n_rows < 0:
-                    raise ParseError(
-                        f"negative lattice row count {n_rows}", line=lineno
-                    )
+                    raise ParseError(f"negative lattice row count {n_rows}", line=lineno)
                 rows = []
                 for _ in range(n_rows):
                     if i >= len(lines):
@@ -600,24 +585,21 @@ def _parse_session_text(text: str) -> Session:
                             "lattice header promises more rows than the file has",
                             line=lineno,
                         )
-                    row = abelian.parse_lattice_row(lines[i], line=i + 1)
                     i += 1
+                    row = parse_at(i, 1, abelian.parse_lattice_row, lines[i - 1])
                     if len(row) != dim:
                         message = f"lattice row {tuple(row)!r} does not have dimension {dim}"
                         raise ParseError(message, line=i)
                     rows.append(row)
                 session.lattice = abelian.RelationLattice.from_rows(rows, dim=dim)
             elif head == "punctures:":
-                raw = lines[lineno - 1].split("#", 1)[0]  # with the file's columns
-                session.plane = planes.parse_punctures_line(raw, line=lineno)
+                session.plane = parse_at(lineno, 1, planes.parse_punctures_line, line)
             elif head == "bind":
-                parts = rest.split(None, 2)
-                if len(parts) < 2:
+                if len(fields) < 3:
                     raise ParseError(
                         "usage: bind <name> <word|tree|loop> <literal>", line=lineno
                     )
-                name, kind = parts[0], parts[1]
-                payload = parts[2] if len(parts) > 2 else ""
+                name, kind = fields[1].group(), fields[2].group()
                 if not _NAME_RE.fullmatch(name):
                     raise ParseError(f"bad binding name {name!r}", line=lineno)
                 if name in session.bindings:
@@ -627,12 +609,15 @@ def _parse_session_text(text: str) -> Session:
                     if gens is None:
                         raise DomainError(f"{kind} binding before any 'gens' line")
                     parse = words.parse_word if kind == "word" else trees.parse_tree
-                    session.bindings[name] = parse(payload, gens, line=lineno)
+                    end = fields[2].end()
+                    session.bindings[name] = parse_at(lineno, end + 1, parse, line[end:], gens)
                 elif kind == "loop":
                     if session.plane is None:
                         raise DomainError("loop binding before any 'punctures:' line")
-                    session.bindings[name] = planes.parse_loop_in(
-                        f"loop {payload}", session.plane, line=lineno
+                    # The loop literal starts with its kind, 'loop'.
+                    start = fields[2].start()
+                    session.bindings[name] = parse_at(
+                        lineno, start + 1, planes.parse_loop_in, line[start:], session.plane
                     )
                 else:
                     raise ParseError(
@@ -688,13 +673,7 @@ def _lex(line: str) -> list[Token]:
 
 
 def _run_line(session: Session, line: str, lineno: int, out: TextIO, err: TextIO) -> int:
-    try:
-        tokens = _lex(line)
-    except ParseError as exc:
-        exc.line = lineno
-        out_text, err_text, code = None, str(exc), 2
-    else:
-        out_text, err_text, code = _execute(session, line, tokens, lineno)
+    out_text, err_text, code = _execute(session, line, lineno)
     if out_text is not None:
         print(out_text, file=out)
     if err_text is not None:

@@ -43,7 +43,16 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from .errors import DomainError, ParseError, RerouteError, check_digit_limit, excerpt
+from .errors import (
+    DomainError,
+    ParseError,
+    RerouteError,
+    check_digit_limit,
+    excerpt,
+    parse_at,
+    read_int,
+    strip_comment,
+)
 from .words import GeneratorSet, Sign, SignedWord, _check_sign, free_reduce
 
 
@@ -573,13 +582,12 @@ def format_point(p: Point) -> str:
     return f"({p.x},{p.y})"
 
 
-def parse_point(token: str, *, line: int = 1, column: int = 1) -> Point:
+def parse_point(token: str) -> Point:
     m = _POINT_RE.fullmatch(token.strip())
     if m is None:
         raise ParseError(
             f"bad point {excerpt(token)}",
-            line=line,
-            column=column,
+            column=1,
             expected=("'(x,y)' with rational coordinates",),
         )
     try:
@@ -587,9 +595,7 @@ def parse_point(token: str, *, line: int = 1, column: int = 1) -> Point:
     except (ValueError, ZeroDivisionError):
         for text in m.groups():
             check_digit_limit(text.strip())
-        raise ParseError(
-            f"bad rational coordinate in {excerpt(token)}", line=line, column=column
-        ) from None
+        raise ParseError(f"bad rational coordinate in {excerpt(token)}", column=1) from None
 
 
 def _format_coordinate(n: int, den: int) -> str:
@@ -607,84 +613,68 @@ def format_loop_literal(loop: FlaggedLoop) -> str:
     return f"loop {loop.flag_vertex} {loop.traversal} {points}"
 
 
-def parse_loop_literal(text: str, *, line: int = 1) -> FlaggedLoop:
-    """Parse ``loop <flag> <F|B> (x,y) ...``; errors name each field's column in ``text``."""
+def parse_loop_literal(text: str) -> FlaggedLoop:
+    """Parse ``loop <flag> <F|B> (x,y) ...``; errors name each field's column in ``text``.
+
+    An error about the loop as a whole, such as a flag index out of range,
+    has no column.
+    """
     fields = list(_FIELD_RE.finditer(text))
     if not fields or fields[0].group() != "loop":
         raise ParseError(
             "loop literal must start with 'loop'",
-            line=line,
             column=fields[0].start() + 1 if fields else 1,
             expected=("'loop <flag> <F|B> (x,y) ...'",),
         )
     if len(fields) < 3:
         raise ParseError(
-            "loop literal is missing its header fields",
-            line=line,
-            column=fields[-1].end() + 1,
+            "loop literal is missing its header fields", column=fields[-1].end() + 1
         )
     flag_field, traversal_field = fields[1], fields[2]
-    try:
-        flag = int(flag_field.group())
-    except ValueError:
-        check_digit_limit(flag_field.group())
-        raise ParseError(
-            f"bad flag index {excerpt(flag_field.group())}",
-            line=line,
-            column=flag_field.start() + 1,
-            expected=("integer",),
-        ) from None
+    flag = parse_at(1, flag_field.start() + 1, read_int, flag_field[0], "bad flag index {}")
     traversal = traversal_field.group()
     if traversal not in ("F", "B"):
         raise ParseError(
             f"bad traversal {excerpt(traversal)}",
-            line=line,
             column=traversal_field.start() + 1,
             expected=("'F'", "'B'"),
         )
-    vertices = tuple(
-        parse_point(m.group(), line=line, column=m.start() + 1) for m in fields[3:]
-    )
+    vertices = tuple(parse_at(1, m.start() + 1, parse_point, m.group()) for m in fields[3:])
     if len(vertices) < 3:
-        raise ParseError("loop literal needs at least three vertices", line=line)
+        raise ParseError("loop literal needs at least three vertices")
     try:
         return FlaggedLoop(vertices, flag, traversal)
     except DomainError as exc:
-        raise ParseError(str(exc), line=line) from None
+        raise ParseError(str(exc)) from None
 
 
 def format_punctures_line(plane: PuncturedPlane) -> str:
     return "punctures: " + " ".join(format_point(p) for p in plane.punctures)
 
 
-def parse_punctures_line(text: str, *, line: int = 1) -> PuncturedPlane:
-    """Inverse of :func:`format_punctures_line`; errors name each point's column."""
+def parse_punctures_line(text: str) -> PuncturedPlane:
+    """Inverse of :func:`format_punctures_line`; errors name each point's column.
+
+    Raises :class:`DomainError` for punctures that no plane can have.
+    """
     head = re.match(r"\s*punctures:", text)
     if head is None:
         raise ParseError(
             "plane file must open with a 'punctures:' line",
-            line=line,
             column=1,
             expected=("'punctures: (x,y) ...'",),
         )
-    fields = list(_FIELD_RE.finditer(text, head.end()))
-    if not fields:
-        raise ParseError("no punctures declared", line=line)
-    try:
-        return PuncturedPlane(
-            tuple(parse_point(m.group(), line=line, column=m.start() + 1) for m in fields)
-        )
-    except DomainError as exc:
-        raise ParseError(str(exc), line=line) from None
+    fields = _FIELD_RE.finditer(text, head.end())
+    points = tuple(parse_at(1, m.start() + 1, parse_point, m.group()) for m in fields)
+    if not points:
+        raise ParseError("no punctures declared")
+    return PuncturedPlane(points)
 
 
-def parse_loop_in(text: str, plane: PuncturedPlane, *, line: int = 1) -> FlaggedLoop:
-    """Parse a loop literal and check that it stays clear of ``plane``'s punctures."""
-    loop = parse_loop_literal(text, line=line)
-    try:
-        ensure_avoids(loop, plane)
-    except DomainError as exc:
-        raise ParseError(str(exc), line=line) from None
+def parse_loop_in(text: str, plane: PuncturedPlane) -> FlaggedLoop:
+    """Parse a loop literal; a :class:`DomainError` unless it avoids ``plane``'s punctures."""
+    loop = parse_loop_literal(text)
+    ensure_avoids(loop, plane)
     return loop
 
 
@@ -693,13 +683,16 @@ def parse_plane_file(text: str) -> tuple[PuncturedPlane, list[FlaggedLoop]]:
     plane: PuncturedPlane | None = None
     loops: list[FlaggedLoop] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]  # not stripped, so that columns stay the file's
+        line = strip_comment(raw)
         if not line.strip():
             continue
-        if plane is None:
-            plane = parse_punctures_line(line, line=lineno)
-        else:
-            loops.append(parse_loop_in(line, plane, line=lineno))
+        try:
+            if plane is None:
+                plane = parse_at(lineno, 1, parse_punctures_line, line)
+            else:
+                loops.append(parse_at(lineno, 1, parse_loop_in, line, plane))
+        except DomainError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     if plane is None:
         raise ParseError("plane file is empty")
     return plane, loops

@@ -29,15 +29,16 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Iterator, NamedTuple, NoReturn
+from typing import Iterator, NamedTuple
 
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import DomainError, ParseError, ResourceLimitError, UnknownGeneratorError, parse_at
 from .words import (
     MINUS,
     PLUS,
     GeneratorSet,
     Sign,
     SignedWord,
+    _SIGN_PAIRS,
     _check_sign,
     parse_sign_pair,
     sign_char,
@@ -321,11 +322,10 @@ _TOKEN_RE = re.compile(r"[()\[\]]|[^\s()\[\]]+")
 
 
 class _TreeParser:
-    def __init__(self, text: str, gens: GeneratorSet, line: int) -> None:
+    def __init__(self, text: str, gens: GeneratorSet) -> None:
         self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(text)]
         self.pos = 0
         self.gens = gens
-        self.line = line
         self.end_column = len(text) + 1
 
     def peek(self) -> tuple[str, int] | None:
@@ -335,16 +335,16 @@ class _TreeParser:
         item = self.peek()
         if item is None:
             raise ParseError(
-                "unexpected end of tree literal",
-                line=self.line,
-                column=self.end_column,
-                expected=expected,
+                "unexpected end of tree literal", column=self.end_column, expected=expected
             )
         self.pos += 1
         return item
 
-    def fail(self, message: str, column: int, expected: tuple[str, ...]) -> NoReturn:
-        raise ParseError(message, line=self.line, column=column, expected=expected)
+    def expect(self, wanted: str) -> None:
+        token, column = self.take(f"'{wanted}'")
+        if token != wanted:
+            message = f"expected '{wanted}', got {token!r}"
+            raise ParseError(message, column=column, expected=(f"'{wanted}'",))
 
     def parse_rooted(self) -> RootedPresentation:
         item = self.peek()
@@ -352,20 +352,18 @@ class _TreeParser:
             self.take()
             token, column = self.take("'+'", "'-'")
             if token not in ("+", "-"):
-                self.fail(f"bad root sign {token!r}", column, ("'+'", "'-'"))
+                message = f"bad root sign {token!r}"
+                raise ParseError(message, column=column, expected=("'+'", "'-'"))
             root_sign = PLUS if token == "+" else MINUS
             tree = self.parse_tree()
-            closer, column = self.take("']'")
-            if closer != "]":
-                self.fail(f"expected ']', got {closer!r}", column, ("']'",))
+            self.expect("]")
             rooted = _new(RootedPresentation, (tree, root_sign))
         else:
             rooted = _new(RootedPresentation, (self.parse_tree(), PLUS))
         trailing = self.peek()
         if trailing is not None:
-            self.fail(
-                f"trailing input {trailing[0]!r}", trailing[1], ("end of literal",)
-            )
+            message = f"trailing input {trailing[0]!r}"
+            raise ParseError(message, column=trailing[1], expected=("end of literal",))
         return rooted
 
     def parse_tree(self) -> PairingTree:
@@ -375,44 +373,39 @@ class _TreeParser:
         while True:
             token, column = self.take("'leaf:<name>'", "'(pair ...'")
             if token == "(":
-                head, hcol = self.take("'pair'")
-                if head != "pair":
-                    self.fail(f"expected 'pair', got {head!r}", hcol, ("'pair'",))
+                self.expect("pair")
                 signs, scol = self.take("sign pair like '+-'")
-                sigma, tau = parse_sign_pair(signs, line=self.line, column=scol)
+                # Only a bad pair goes to the reader, which raises it at its column.
+                sigma, tau = _SIGN_PAIRS.get(signs) or parse_at(1, scol, parse_sign_pair, signs)
                 open_nodes.append((sigma, tau, []))
                 continue
             if not token.startswith("leaf:"):
-                self.fail(
+                raise ParseError(
                     f"bad tree token {token!r}",
-                    column,
-                    ("'leaf:<name>'", "'(pair <st> <tree> <tree>)'"),
+                    column=column,
+                    expected=("'leaf:<name>'", "'(pair <st> <tree> <tree>)'"),
                 )
             name = token[len("leaf:"):]
-            index = self.gens.index(name, line=self.line, column=column)
-            tree: PairingTree = _new(Leaf, (index,))
+            if name not in self.gens.names:
+                raise UnknownGeneratorError(name, column=column)
+            tree: PairingTree = _new(Leaf, (self.gens.names.index(name),))
             while open_nodes:
                 sigma, tau, children = open_nodes[-1]
                 children.append(tree)
                 if len(children) < 2:
                     break
-                closer, ccol = self.take("')'")
-                if closer != ")":
-                    self.fail(f"expected ')', got {closer!r}", ccol, ("')'",))
+                self.expect(")")
                 open_nodes.pop()
                 tree = _new(Node, (sigma, tau, children[0], children[1]))
             else:
                 return tree
 
 
-def parse_tree(text: str, gens: GeneratorSet, *, line: int = 1) -> RootedPresentation:
+def parse_tree(text: str, gens: GeneratorSet) -> RootedPresentation:
     """Parse a tree literal; a bare (unrooted) tree gets root sign ``+``."""
-    parser = _TreeParser(text, gens, line)
+    parser = _TreeParser(text, gens)
     if parser.peek() is None:
         raise ParseError(
-            "empty tree literal",
-            line=line,
-            column=1,
-            expected=("'['", "'('", "'leaf:<name>'"),
+            "empty tree literal", column=1, expected=("'['", "'('", "'leaf:<name>'")
         )
     return parser.parse_rooted()

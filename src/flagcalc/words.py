@@ -43,7 +43,6 @@ MINUS: Sign = -1
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _LETTER_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)([+-])")
-_SIGN_FROM_CHAR: dict[str, Sign] = {"+": PLUS, "-": MINUS}
 
 
 def sign_char(sign: Sign) -> str:
@@ -51,16 +50,20 @@ def sign_char(sign: Sign) -> str:
     return "+" if sign > 0 else "-"
 
 
-def parse_sign_pair(token: str, *, line: int = 1, column: int = 1) -> tuple[Sign, Sign]:
+# Each sign pair by its text, ``sigma`` then ``tau``.
+_SIGN_PAIRS: dict[str, tuple[Sign, Sign]] = {
+    sign_char(s) + sign_char(t): (s, t) for s in (PLUS, MINUS) for t in (PLUS, MINUS)
+}
+
+
+def parse_sign_pair(token: str) -> tuple[Sign, Sign]:
     """Parse a sign pair like ``+-``: ``sigma`` then ``tau``."""
-    if len(token) != 2 or any(c not in _SIGN_FROM_CHAR for c in token):
+    pair = _SIGN_PAIRS.get(token)
+    if pair is None:
         raise ParseError(
-            f"bad sign pair {token!r}",
-            line=line,
-            column=column,
-            expected=("two signs like '+-'",),
+            f"bad sign pair {token!r}", column=1, expected=("two signs like '+-'",)
         )
-    return _SIGN_FROM_CHAR[token[0]], _SIGN_FROM_CHAR[token[1]]
+    return pair
 
 
 def _check_sign(sign: int) -> None:
@@ -101,11 +104,11 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def index(self, name: str, *, line: int = 1, column: int = 1) -> int:
+    def index(self, name: str) -> int:
         try:
             return self.names.index(name)
         except ValueError:
-            raise UnknownGeneratorError(name, line=line, column=column) from None
+            raise UnknownGeneratorError(name) from None
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -271,23 +274,24 @@ def format_word(word: SignedWord) -> str:
     return " ".join([tokens[c] for c in word.codes])
 
 
-def parse_word(text: str, gens: GeneratorSet, *, line: int = 1) -> SignedWord:
+def parse_word(text: str, gens: GeneratorSet) -> SignedWord:
     """Parse a word literal: whitespace-separated ``<name>+`` / ``<name>-`` tokens.
 
     The empty (or all-whitespace) string parses to the empty word.
     """
+    names = gens.names
     codes: list[int] = []
     for match in re.finditer(r"\S+", text):
         token = match.group()
-        column = match.start() + 1
         m = _LETTER_RE.fullmatch(token)
         if m is None:
             raise ParseError(
                 f"bad letter token {token!r}",
-                line=line,
-                column=column,
+                column=match.start() + 1,
                 expected=("'<name>+'", "'<name>-'"),
             )
-        gen = gens.index(m.group(1), line=line, column=column)
-        codes.append(2 * gen + (m.group(2) == "-"))
+        name = m.group(1)
+        if name not in names:
+            raise UnknownGeneratorError(name, column=match.start() + 1)
+        codes.append(2 * names.index(name) + (m.group(2) == "-"))
     return SignedWord._of_codes(gens, tuple(codes))

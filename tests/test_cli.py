@@ -474,6 +474,43 @@ class TestSessionPersistence:
         _, _, other_err, other_code = run(Session(), f"{command} {other_path}")
         assert (session_err, session_code) == (other_err, other_code) == (error, 2)
 
+    @pytest.mark.parametrize(
+        "first, second, error",
+        [
+            ("gens a b", "bind w word b+ q+", "2:16: unknown generator 'q'"),
+            ("gens a b", "canon a+ z+", "2:10: unknown generator 'z'"),
+            ("gens a b", "  canon a+ z+", "2:12: unknown generator 'z'"),
+            ("gens a b", "bind t tree [+ (pair ++ leaf:a leaf:q)]", "2:32: unknown generator 'q'"),
+            (
+                "punctures: (0,0)",
+                "bind l loop 0 F (1,1) (2,x) (3,1)",
+                "2:23: bad rational coordinate in '(2,x)'",
+            ),
+        ],
+    )
+    def test_payload_errors_name_their_column_in_the_line(self, tmp_path, first, second, error):
+        path = tmp_path / "payload.session"
+        path.write_text(f"{first}\n{second}\n")
+        _, _, err, code = run(Session(), f"load {path}")
+        assert code == 2
+        assert err.startswith(error)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on reading integers"
+    )
+    def test_a_loop_name_past_the_digit_limit_fails_one_line(self, tmp_path):
+        # The next loop name counts on from the highest 'loop<n>' binding.
+        path = tmp_path / "huge.session"
+        digits = "9" * (sys.get_int_max_str_digits() + 100)
+        path.write_text(
+            f"gens a b\npunctures: (0,0)\nbind loop{digits} word a+\nbind sq {SQUARE}\n"
+        )
+        plane = DATA / "loops.plane"
+        for command in (f"plane load {plane}", "sum +- sq sq --base (1/3,-12)"):
+            out, err, code = script_output(f"load {path}\n{command}\nab a+\n")
+            assert (out, code) == (f"loaded {path}\n(1, 0)\n", 1)
+            assert err.startswith("error: number ") and err.count("\n") == 1
+
     def test_negative_lattice_row_count_is_refused(self, tmp_path):
         path = tmp_path / "negative.session"
         path.write_text("gens a\nlattice -2 2\n")
@@ -542,8 +579,9 @@ class TestScriptRunner:
             "error: 3:11: unknown generator 'q' (expected declared generator name)\n"
         )
 
-    def test_errors_script_matches_golden(self):
+    def test_errors_script_matches_golden(self, monkeypatch):
         script = (DATA / "errors_script.txt").read_text(encoding="utf-8")
+        monkeypatch.chdir(DATA)  # the script loads errors.session from there
         out, err, code = script_output(script)
         assert (out, code) == ("generators: a b\n", 2)
         assert err == (DATA / "errors_golden.txt").read_text(encoding="utf-8")

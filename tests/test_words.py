@@ -90,8 +90,12 @@ class TestGeneratorSet:
 
     def test_unknown_name_lookup(self):
         with pytest.raises(UnknownGeneratorError) as info:
-            GENS.index("q", line=3, column=5)
-        assert str(info.value).startswith("3:5: unknown generator 'q'")
+            GENS.index("q")
+        assert info.value.name == "q"
+        # A reader names the column where the name stands in its text.
+        with pytest.raises(UnknownGeneratorError) as info:
+            parse_word("a+ b-  q+", GENS)
+        assert str(info.value).startswith("1:8: unknown generator 'q'")
 
 
 class TestLetterChecks:
