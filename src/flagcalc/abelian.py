@@ -203,7 +203,7 @@ def parse_vector(text: str) -> tuple[int, ...]:
             coords.append(int(part))
         except ValueError:
             # Only a refused entry goes to the integer reader, which raises
-            # the error, placed at the entry's column.
+            # its error, moved to the entry's column; a good one costs no call.
             start = column + len(part) - len(part.lstrip())
             parse_at(1, start, read_int, part.strip(), "bad integer {} in vector literal")
         column += len(part) + 1
@@ -212,10 +212,13 @@ def parse_vector(text: str) -> tuple[int, ...]:
 
 def parse_lattice_row(raw: str) -> list[int]:
     """Parse one lattice row: integers, then an optional ``#`` comment."""
-    return [
-        parse_at(1, m.start() + 1, read_int, m.group(), "bad integer {} in lattice row")
-        for m in re.finditer(r"\S+", strip_comment(raw))
-    ]
+    row = []
+    for m in re.finditer(r"\S+", strip_comment(raw)):
+        try:
+            row.append(int(m[0]))
+        except ValueError:  # as in parse_vector
+            parse_at(1, m.start() + 1, read_int, m[0], "bad integer {} in lattice row")
+    return row
 
 
 def parse_lattice(text: str) -> RelationLattice:

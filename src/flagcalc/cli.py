@@ -22,6 +22,7 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable, TextIO, TypeVar
 
@@ -537,9 +538,9 @@ def _parse_session_text(text: str) -> Session:
         lineno = i + 1
         line = strip_comment(lines[i]).rstrip()
         i += 1
-        # Each field, and each payload after its head or kind, is read where
-        # it stands in the line, so an error names its column there.
-        fields = list(_FIELD_RE.finditer(line))
+        # The fields that any head needs; each field, and each payload after
+        # its head or kind, is read where it stands in the line.
+        fields = list(islice(_FIELD_RE.finditer(line), 4))
         if not fields:
             continue
         head = fields[0].group()
@@ -551,7 +552,7 @@ def _parse_session_text(text: str) -> Session:
             seen.add(head)
         try:
             if head == "gens":
-                session.gens = words.GeneratorSet.of(*(f.group() for f in fields[1:]))
+                session.gens = words.GeneratorSet.of(*line[fields[0].end():].split())
             elif head == "policy":
                 # Older files name the canonical choice; the 'canon' lines
                 # already say it.

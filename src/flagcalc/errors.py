@@ -36,10 +36,9 @@ class ParseError(FlagcalcError):
     """Input text failed to parse.
 
     Carries a 1-based line/column position in the text that was read and,
-    when useful, the set of token kinds that would have been accepted
-    there.  An error without a column is about its whole line, and reads as
-    column 1.  :func:`parse_at` moves the position after the error is
-    raised; the text follows it.
+    when useful, the set of token kinds that would have been accepted there.
+    An error without a column is about its whole line and reads as column 1.
+    :func:`parse_at` moves the position after the error is raised.
     """
 
     def __init__(

@@ -616,8 +616,7 @@ def format_loop_literal(loop: FlaggedLoop) -> str:
 def parse_loop_literal(text: str) -> FlaggedLoop:
     """Parse ``loop <flag> <F|B> (x,y) ...``; errors name each field's column in ``text``.
 
-    An error about the loop as a whole, such as a flag index out of range,
-    has no column.
+    An error about the whole loop, such as a flag index out of range, has no column.
     """
     fields = list(_FIELD_RE.finditer(text))
     if not fields or fields[0].group() != "loop":
@@ -653,10 +652,7 @@ def format_punctures_line(plane: PuncturedPlane) -> str:
 
 
 def parse_punctures_line(text: str) -> PuncturedPlane:
-    """Inverse of :func:`format_punctures_line`; errors name each point's column.
-
-    Raises :class:`DomainError` for punctures that no plane can have.
-    """
+    """Inverse of :func:`format_punctures_line`; errors name each point's column."""
     head = re.match(r"\s*punctures:", text)
     if head is None:
         raise ParseError(
