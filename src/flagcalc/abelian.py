@@ -98,9 +98,9 @@ class RelationLattice:
     def _echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Canonical echelon basis and its pivot columns.
 
-        Pivots are positive and strictly right-moving down the basis; entries
-        above each pivot are reduced into ``[0, pivot)``, so equal lattices
-        presented by different rows share one basis.
+        Pivots are positive and move right down the basis.  As each row joins,
+        the entries above each pivot are reduced into ``[0, pivot)``, which keeps
+        them bounded (Kannan & Bachem 1979); equal lattices share one basis.
         """
         basis: list[list[int]] = []
         pivots: list[int] = []
@@ -126,16 +126,16 @@ class RelationLattice:
                     basis.insert(k, v)
                     pivots.insert(k, j)
                     break
-        for k, j in enumerate(pivots):
-            if basis[k][j] < 0:
-                basis[k] = [-x for x in basis[k]]
-        for k in range(len(basis)):
-            j = pivots[k]
-            pivot = basis[k][j]
-            for i in range(k):
-                q = basis[i][j] // pivot
-                if q:
-                    basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
+            for k, j in enumerate(pivots):
+                if basis[k][j] < 0:
+                    basis[k] = [-x for x in basis[k]]
+            for k in range(len(basis)):
+                j = pivots[k]
+                pivot = basis[k][j]
+                for i in range(k):
+                    q = basis[i][j] // pivot
+                    if q:
+                        basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
         return tuple(tuple(r) for r in basis), tuple(pivots)
 
     @property
@@ -187,17 +187,18 @@ def format_vector(coords: tuple[int, ...]) -> str:
 def parse_vector(text: str) -> tuple[int, ...]:
     """Parse ``(n1, n2, ...)`` with integer entries."""
     stripped = text.strip()
+    offset = len(text) - len(text.lstrip())  # of ``stripped`` in ``text``
     if not (stripped.startswith("(") and stripped.endswith(")")):
         raise ParseError(
             "vector literal must be parenthesized",
-            column=1,
+            column=offset + 1,
             expected=("'(n1, n2, ...)'",),
         )
     inner = stripped[1:-1]
     if not inner.strip():
-        raise ParseError("vector literal needs at least one entry", column=2)
+        raise ParseError("vector literal needs at least one entry", column=offset + 2)
     coords = []
-    column = 2  # of the current comma part in ``stripped``
+    column = offset + 2  # of the current comma part in ``text``
     for part in inner.split(","):
         try:
             coords.append(int(part))

@@ -198,23 +198,23 @@ def _parse_file(path: str, parse: Callable[[str], _T]) -> _T:
         raise _FileParseError(str(exc)) from None
 
 
-def _next_loop_name(session: Session) -> str:
+def _loop_names(bindings: dict[str, Binding], count: int) -> list[str]:
+    """Names for ``count`` new loops, numbered on from the highest ``loop<n>`` in ``bindings``."""
     highest = 0
-    for name in session.bindings:
+    for name in bindings:
         m = _LOOP_NAME_RE.fullmatch(name)
         if m:
             # The number after it may have one digit more.
             check_digit_limit(m.group(1) + "0")
             highest = max(highest, int(m.group(1)))
-    return f"loop{highest + 1}"
+    # A later scan reads the highest new number, so it must pass the same check.
+    check_digit_limit(f"{highest + count}0")
+    return [f"loop{highest + i}" for i in range(1, count + 1)]
 
 
-def _drop_bindings(session: Session, kind: type | tuple[type, ...]) -> None:
-    session.bindings = {
-        name: value
-        for name, value in session.bindings.items()
-        if not isinstance(value, kind)
-    }
+def _kept_bindings(session: Session, kind: type | tuple[type, ...]) -> dict[str, Binding]:
+    """The session's bindings without those of type ``kind``."""
+    return {name: v for name, v in session.bindings.items() if not isinstance(v, kind)}
 
 
 # --- command handlers ------------------------------------------------------
@@ -225,7 +225,7 @@ def _cmd_gens(session: Session, line: str, args: list[Token]) -> tuple[str, int]
         raise ParseError("usage: gens <name> [<name> ...]")
     session.gens = words.GeneratorSet.of(*_values(args))
     session.canon = frozenset()
-    _drop_bindings(session, (words.SignedWord, trees.RootedPresentation))
+    session.bindings = _kept_bindings(session, (words.SignedWord, trees.RootedPresentation))
     return "generators: " + " ".join(session.gens.names), 0
 
 
@@ -311,13 +311,13 @@ def _cmd_plane(session: Session, line: str, args: list[Token]) -> tuple[str, int
     if len(values) != 2 or values[0] != "load":
         raise ParseError("usage: plane load <file>")
     plane, loops = _parse_file(values[1], planes.parse_plane_file)
+    # Every name is found before the session changes, so a failure leaves it whole.
+    kept = _kept_bindings(session, planes.FlaggedLoop)
+    named = dict(zip(_loop_names(kept, len(loops)), loops))
     session.plane = plane
-    _drop_bindings(session, planes.FlaggedLoop)
+    session.bindings = kept | named
     lines = [f"plane: {len(plane.punctures)} puncture(s)"]
-    for loop in loops:
-        name = _next_loop_name(session)
-        session.bindings[name] = loop
-        lines.append(f"{name} = {planes.format_loop_literal(loop)}")
+    lines.extend(f"{name} = {planes.format_loop_literal(loop)}" for name, loop in named.items())
     return "\n".join(lines), 0
 
 
@@ -348,7 +348,7 @@ def _cmd_sum(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     base_text, base_start, _ = opts["base"]
     base = parse_at(1, base_start + 1, planes.parse_point, base_text)
     result = planes.connected_sum(l1, sigma, tau, l2, base, plane)
-    name = _next_loop_name(session)
+    (name,) = _loop_names(session.bindings, 1)
     session.bindings[name] = result
     return f"{name} = {planes.format_loop_literal(result)}", 0
 

@@ -321,91 +321,69 @@ def format_tree(rooted: RootedPresentation, gens: GeneratorSet) -> str:
 _TOKEN_RE = re.compile(r"[()\[\]]|[^\s()\[\]]+")
 
 
-class _TreeParser:
-    def __init__(self, text: str, gens: GeneratorSet) -> None:
-        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(text)]
-        self.pos = 0
-        self.gens = gens
-        self.end_column = len(text) + 1
+def parse_tree(text: str, gens: GeneratorSet) -> RootedPresentation:
+    """Parse a tree literal; a bare (unrooted) tree gets root sign ``+``."""
+    tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(text)]
+    if not tokens:
+        raise ParseError(
+            "empty tree literal", column=1, expected=("'['", "'('", "'leaf:<name>'")
+        )
+    items = iter(tokens)
 
-    def peek(self) -> tuple[str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, *expected: str) -> tuple[str, int]:
-        item = self.peek()
+    def take(*expected: str) -> tuple[str, int]:
+        item = next(items, None)
         if item is None:
-            raise ParseError(
-                "unexpected end of tree literal", column=self.end_column, expected=expected
-            )
-        self.pos += 1
+            message = "unexpected end of tree literal"
+            raise ParseError(message, column=len(text) + 1, expected=expected)
         return item
 
-    def expect(self, wanted: str) -> None:
-        token, column = self.take(f"'{wanted}'")
+    def expect(wanted: str) -> None:
+        token, column = take(f"'{wanted}'")
         if token != wanted:
             message = f"expected '{wanted}', got {token!r}"
             raise ParseError(message, column=column, expected=(f"'{wanted}'",))
 
-    def parse_rooted(self) -> RootedPresentation:
-        item = self.peek()
-        if item is not None and item[0] == "[":
-            self.take()
-            token, column = self.take("'+'", "'-'")
-            if token not in ("+", "-"):
-                message = f"bad root sign {token!r}"
-                raise ParseError(message, column=column, expected=("'+'", "'-'"))
-            root_sign = PLUS if token == "+" else MINUS
-            tree = self.parse_tree()
-            self.expect("]")
-            rooted = _new(RootedPresentation, (tree, root_sign))
-        else:
-            rooted = _new(RootedPresentation, (self.parse_tree(), PLUS))
-        trailing = self.peek()
-        if trailing is not None:
-            message = f"trailing input {trailing[0]!r}"
-            raise ParseError(message, column=trailing[1], expected=("end of literal",))
-        return rooted
-
-    def parse_tree(self) -> PairingTree:
-        # Each open ``(pair`` waits here with its signs and the children read
-        # so far; a finished subtree closes every node it completes.
-        open_nodes: list[tuple[Sign, Sign, list[PairingTree]]] = []
-        while True:
-            token, column = self.take("'leaf:<name>'", "'(pair ...'")
-            if token == "(":
-                self.expect("pair")
-                signs, scol = self.take("sign pair like '+-'")
-                # Only a bad pair goes to the reader, which raises it at its column.
-                sigma, tau = _SIGN_PAIRS.get(signs) or parse_at(1, scol, parse_sign_pair, signs)
-                open_nodes.append((sigma, tau, []))
-                continue
-            if not token.startswith("leaf:"):
-                raise ParseError(
-                    f"bad tree token {token!r}",
-                    column=column,
-                    expected=("'leaf:<name>'", "'(pair <st> <tree> <tree>)'"),
-                )
-            name = token[len("leaf:"):]
-            if name not in self.gens.names:
-                raise UnknownGeneratorError(name, column=column)
-            tree: PairingTree = _new(Leaf, (self.gens.names.index(name),))
-            while open_nodes:
-                sigma, tau, children = open_nodes[-1]
-                children.append(tree)
-                if len(children) < 2:
-                    break
-                self.expect(")")
-                open_nodes.pop()
-                tree = _new(Node, (sigma, tau, children[0], children[1]))
-            else:
-                return tree
-
-
-def parse_tree(text: str, gens: GeneratorSet) -> RootedPresentation:
-    """Parse a tree literal; a bare (unrooted) tree gets root sign ``+``."""
-    parser = _TreeParser(text, gens)
-    if parser.peek() is None:
-        raise ParseError(
-            "empty tree literal", column=1, expected=("'['", "'('", "'leaf:<name>'")
-        )
-    return parser.parse_rooted()
+    bracketed = tokens[0][0] == "["
+    root_sign = PLUS
+    if bracketed:
+        next(items)
+        token, column = take("'+'", "'-'")
+        if token not in ("+", "-"):
+            raise ParseError(f"bad root sign {token!r}", column=column, expected=("'+'", "'-'"))
+        root_sign = PLUS if token == "+" else MINUS
+    # Each open ``(pair`` waits here with its signs and its left child once
+    # read; a finished subtree closes every node it completes.
+    open_nodes: list[tuple[Sign, Sign, list[PairingTree]]] = []
+    while True:
+        token, column = take("'leaf:<name>'", "'(pair ...'")
+        if token == "(":
+            expect("pair")
+            signs, scol = take("sign pair like '+-'")
+            # Only a bad pair goes to the reader, which raises it at its column.
+            sigma, tau = _SIGN_PAIRS.get(signs) or parse_at(1, scol, parse_sign_pair, signs)
+            open_nodes.append((sigma, tau, []))
+            continue
+        if not token.startswith("leaf:"):
+            raise ParseError(
+                f"bad tree token {token!r}",
+                column=column,
+                expected=("'leaf:<name>'", "'(pair <st> <tree> <tree>)'"),
+            )
+        name = token[len("leaf:"):]
+        if name not in gens.names:
+            raise UnknownGeneratorError(name, column=column)
+        tree: PairingTree = _new(Leaf, (gens.names.index(name),))
+        while open_nodes and open_nodes[-1][2]:
+            sigma, tau, (left,) = open_nodes.pop()
+            expect(")")
+            tree = _new(Node, (sigma, tau, left, tree))
+        if not open_nodes:
+            break
+        open_nodes[-1][2].append(tree)
+    if bracketed:
+        expect("]")
+    trailing = next(items, None)
+    if trailing is not None:
+        message = f"trailing input {trailing[0]!r}"
+        raise ParseError(message, column=trailing[1], expected=("end of literal",))
+    return _new(RootedPresentation, (tree, root_sign))

@@ -104,12 +104,6 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownGeneratorError(name) from None
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class SignedWord:

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import flagcalc
 from flagcalc.abelian import (
     RelationLattice,
     abelianize,
@@ -13,6 +19,7 @@ from flagcalc.abelian import (
     parse_vector,
 )
 from flagcalc.errors import DomainError, ParseError
+from flagcalc.suites import _exact_member
 from flagcalc.words import GeneratorSet, SignedWord, parse_word
 
 GENS = GeneratorSet.of("a", "b")
@@ -87,10 +94,20 @@ class TestAbelianVector:
             assert parse_vector(text) == vec
             assert format_vector(vec) == text
 
-    @pytest.mark.parametrize("text", ["()", "2, -1", "(2; 1)", "(a, b)"])
-    def test_parse_rejects_malformed(self, text):
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            pytest.param(text, column, id=text)
+            for text, column in [
+                ("()", 2), ("2, -1", 1), ("(2; 1)", 2), ("(a, b)", 2), ("  (1, x)", 7), ("  ( )", 4)
+            ]
+        ],
+    )
+    def test_parse_rejects_malformed(self, text, column):
+        # The column counts in ``text``, leading spaces included.
+        with pytest.raises(ParseError) as info:
             parse_vector(text)
+        assert str(info.value).startswith(f"1:{column}: ")
 
 
 class TestRelationLattice:
@@ -106,6 +123,12 @@ class TestRelationLattice:
     def test_from_rows_refuses_entries_that_are_not_ints(self, row):
         with pytest.raises(DomainError, match="has an entry that is not an int"):
             RelationLattice.from_rows([row])
+
+    def test_rows_of_another_dimension_are_refused(self):
+        with pytest.raises(DomainError, match="does not have dimension 2"):
+            RelationLattice(((1, 2), (1,)), 2)
+        with pytest.raises(DomainError, match="cannot infer dimension"):
+            RelationLattice.from_rows([])
 
     def test_free_lattice_reduces_nothing(self):
         free = RelationLattice((), 2)
@@ -164,6 +187,45 @@ class TestRelationLattice:
         for method in (lat.reduce, lat.contains):
             with pytest.raises(DomainError, match="has an entry that is not an int"):
                 method(vec)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(-9, 9), min_size=dim, max_size=dim), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_echelon_basis_is_the_hermite_normal_form(self, rows):
+        lat = RelationLattice.from_rows(rows)
+        basis, pivots = lat._echelon
+        assert list(pivots) == sorted(set(pivots))
+        for k, (row, j) in enumerate(zip(basis, pivots)):
+            assert row[:j] == (0,) * j and row[j] > 0
+            assert all(0 <= above[j] < row[j] for above in basis[:k])
+            assert _exact_member(rows, row)
+        for row in rows:
+            assert lat.reduce(tuple(row)) == (0,) * lat.dim
+
+    def test_a_large_echelon_keeps_its_entries_small(self):
+        # Entries left unreduced until every row has joined grow without bound
+        # (a 40x40 lattice took minutes); the timeout fails a return of that.
+        program = (
+            "import random\n"
+            "from flagcalc.abelian import RelationLattice\n"
+            "rng = random.Random(514)\n"
+            "rows = [[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]\n"
+            "basis = RelationLattice.from_rows(rows).basis\n"
+            "print(len(basis), max(abs(x) for row in basis for x in row).bit_length() < 400)\n"
+        )
+        package_root = str(Path(flagcalc.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", program],
+            env={**os.environ, "PYTHONPATH": package_root},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "60 True\n", "")
 
     @given(vectors3)
     def test_reduce_is_idempotent(self, vec):

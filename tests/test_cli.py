@@ -109,14 +109,24 @@ class TestErrorCodes:
         assert code == 2
         assert "q" in err
 
-    def test_domain_errors_exit_one(self, tmp_path):
-        session = fresh()
-        lat = tmp_path / "dim3.lat"
-        lat.write_text("2 0 0\n")
-        run(session, f"lattice load {lat}")
-        _, _, err, code = run(session, "coset (1, 2)")
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("coset (1, 2)", "dimension"),
+            ("wind loop1", "no plane loaded"),
+            ("fgword loop1", "no plane loaded"),
+            ("orbit --cap 0 leaf:a", "closure cap must be positive"),
+            ("save no/such/dir/s.txt", "cannot write no/such/dir/s.txt"),
+        ],
+        ids=["coset", "wind", "fgword", "orbit", "save"],
+    )
+    def test_domain_errors_exit_one(self, tmp_path, monkeypatch, line, message):
+        monkeypatch.chdir(tmp_path)
+        Path("dim3.lat").write_text("2 0 0\n")
+        _, err, code = script_output(f"gens a b c\nlattice load dim3.lat\n{line}\n")
         assert code == 1
-        assert "dimension" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_bad_lattice_entry_reports_its_own_column(self, tmp_path):
         # The bad '-' also occurs at column 1, inside the entry '-3'.
@@ -129,12 +139,13 @@ class TestErrorCodes:
         )
 
     def test_bad_vector_entry_reports_its_own_column(self):
-        # The column counts in the line: the literal starts at column 7.
-        _, _, err, code = run(Session(), "coset (-3, -)")
-        assert (err, code) == (
-            "1:12: bad integer '-' in vector literal (expected integer)",
-            2,
-        )
+        # The column counts in the joined line: the literal starts at column 7.
+        for argv, token in [(["coset", "(-3,", "-)"], "-"), (["coset", " (1, x)"], "x")]:
+            _, _, err, code = run_command(Session(), argv)
+            assert (err, code) == (
+                f"1:12: bad integer {token!r} in vector literal (expected integer)",
+                2,
+            )
 
     @pytest.mark.parametrize(
         "line, error",
@@ -510,6 +521,29 @@ class TestSessionPersistence:
             out, err, code = script_output(f"load {path}\n{command}\nab a+\n")
             assert (out, code) == (f"loaded {path}\n(1, 0)\n", 1)
             assert err.startswith("error: number ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on reading integers"
+    )
+    def test_plane_load_changes_nothing_when_a_loop_name_fails(self, tmp_path):
+        # The first new name, loop1 and then as many zeros as the limit allows,
+        # can be read; the second would leave no room for the name after it.
+        path = tmp_path / "nines.session"
+        name = "loop" + "9" * (sys.get_int_max_str_digits() - 1)
+        path.write_text(f"gens a\nbind {name} word a+\n")
+        session, out, err = Session(), io.StringIO(), io.StringIO()
+        script = f"load {path}\nplane load {DATA / 'loops.plane'}\nab a+\n"
+        code = run_script(script, session, out=out, err=err)
+        assert (out.getvalue(), code) == (f"loaded {path}\n(1)\n", 1)
+        assert err.getvalue().startswith("error: number ") and err.getvalue().count("\n") == 1
+        assert session.plane is None
+        assert list(session.bindings) == [name]
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "commented.session"
+        path.write_text("# a session\n\ngens a b\n   \n  # words\nbind w word a+ b-  # a word\n")
+        out, err, code = script_output(f"load {path}\ninv w\n")
+        assert (out, err, code) == (f"loaded {path}\nb+ a-\n", "", 0)
 
     def test_negative_lattice_row_count_is_refused(self, tmp_path):
         path = tmp_path / "negative.session"

@@ -68,7 +68,7 @@ def old_lex_key(word: SignedWord) -> tuple[tuple[int, int], ...]:
 class TestGeneratorSet:
     def test_of_builds_named_set(self):
         assert len(GENS) == 3
-        assert GENS.index("b") == 1
+        assert GENS.names == ("a", "b", "c")
 
     def test_rejects_duplicates(self):
         with pytest.raises(DomainError):
@@ -89,12 +89,11 @@ class TestGeneratorSet:
             GeneratorSet(names)
 
     def test_unknown_name_lookup(self):
-        with pytest.raises(UnknownGeneratorError) as info:
-            GENS.index("q")
-        assert info.value.name == "q"
+        assert parse_word("b+", GENS).codes == (2,)
         # A reader names the column where the name stands in its text.
         with pytest.raises(UnknownGeneratorError) as info:
             parse_word("a+ b-  q+", GENS)
+        assert info.value.name == "q"
         assert str(info.value).startswith("1:8: unknown generator 'q'")
 
 
