@@ -106,6 +106,7 @@ class RelationLattice:
         pivots: list[int] = []
         for row in self.rows:
             v = list(row)
+            changed = False
             while True:
                 j = _first_nonzero(v)
                 if j is None:
@@ -122,10 +123,16 @@ class RelationLattice:
                         combined = [x * p + y * q2 for p, q2 in zip(brow, v)]
                         v = [(a // g) * q2 - (b // g) * p for p, q2 in zip(brow, v)]
                         basis[k] = combined
+                        changed = True
                 else:
                     basis.insert(k, v)
                     pivots.insert(k, j)
+                    changed = True
                     break
+            if not changed:
+                # The row reduced to zero by exact division alone, so the
+                # basis is as the passes below left it after an earlier row.
+                continue
             for k, j in enumerate(pivots):
                 if basis[k][j] < 0:
                     basis[k] = [-x for x in basis[k]]

@@ -17,14 +17,18 @@ plane's fundamental group pi_1, and a crossing word is its reduced image.
 Coordinates are rational, but the predicates run on integers.  A loop
 carries its vertices as integer pairs over their least common denominator,
 computed once when it is built from points.  The loops that flag moves and
-connected sums derive are built straight from their operands' integers, and
-a loop builds its ``Point`` tuple only when asked for it.  A plane keeps its
-punctures the same way.  Each operation scales the loop, the punctures and
-the base point to one common denominator (:func:`_over_one_den`), then takes
-every orientation, on-segment, triangle, ray and ordering test on Python
-ints.  Each test is the sign of an order comparison or of a cross product,
-and multiplying every coordinate by one positive integer keeps those signs,
-so the answers are those of the rational points, with no tolerances.
+connected sums derive are built straight from their operands' integers, the
+seeded sampler draws its loops straight onto integers, and a loop builds its
+``Point`` tuple only when asked for it.  A plane keeps its punctures the
+same way.  Each operation scales the loop, the punctures and the base point
+to one common denominator (:func:`_over_one_den`), then takes every
+orientation, on-segment, triangle, ray and ordering test on Python ints.
+Each test is the sign of an order comparison or of a cross product, and
+multiplying every coordinate by one positive integer keeps those signs, so
+the answers are those of the rational points, with no tolerances.  The
+winding count and the contact check skip every edge wholly above or wholly
+below a puncture before they take a cross product: such an edge can neither
+cross the puncture's horizontal nor touch it.
 
 The corridor's return leg is offset by a small rational shear so the out and
 back segments do not overlap; the shear is shrunk deterministically until
@@ -270,10 +274,14 @@ def _check_avoids(
 ) -> None:
     """:func:`ensure_avoids` on vertices and punctures over one denominator."""
     for j, p in enumerate(punctures):
-        for i, v in enumerate(vertices):
-            if v == p:
-                raise DomainError(f"loop vertex {i} coincides with puncture {j + 1}")
+        if p in vertices:
+            i = vertices.index(p)
+            raise DomainError(f"loop vertex {i} coincides with puncture {j + 1}")
+        py = p[1]
         for i, (a, b) in enumerate(_edges(vertices)):
+            # An edge wholly above or wholly below p cannot pass through it.
+            if a[1] < py > b[1] or a[1] > py < b[1]:
+                continue
             if _on_segment(p, a, b):
                 raise DomainError(f"loop edge {i} passes through puncture {j + 1}")
 
@@ -295,23 +303,35 @@ def winding_number(loop: FlaggedLoop, puncture: Point) -> int:
 
 
 def winding_profile(loop: FlaggedLoop, plane: PuncturedPlane) -> tuple[int, ...]:
-    """Winding number around each puncture, in puncture order."""
+    """Winding number around each puncture, in puncture order.
+
+    The count is a sum over the edges and so does not depend on where the
+    walk starts: it runs over the stored vertex order, and traversal ``"B"``
+    negates it.  An edge wholly above or wholly below a puncture can neither
+    cross its horizontal nor touch it, so it is skipped before any cross
+    product (the edge classification of Hormann & Agathos 2001).
+    """
     _, vertices, punctures = _over_one_den(loop, plane)
-    walk = _walk(vertices, loop.flag_vertex, loop.traversal)
+    edges = list(_edges(vertices))
     profile = []
-    for p in punctures:
-        py = p[1]
+    for px, py in punctures:
         wn = 0
-        for a, b in _edges(walk):
-            cross = _cross(a, b, p)
-            if cross == 0 and _in_box(p, a, b):
+        for (ax, ay), (bx, by) in edges:
+            if ay < py > by or ay > py < by:
+                continue
+            # What is left spans py, so a zero cross product touches p
+            # exactly when the edge also spans px.
+            cross = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
+            if cross == 0 and (ax <= px <= bx or bx <= px <= ax):
                 raise DomainError("loop touches the puncture; winding is undefined")
-            if a[1] <= py:
-                if b[1] > py and cross > 0:
+            if ay <= py:
+                if by > py and cross > 0:
                     wn += 1
-            elif b[1] <= py and cross < 0:
+            elif by <= py and cross < 0:
                 wn -= 1
         profile.append(wn)
+    if loop.traversal == "B":
+        return tuple(-wn for wn in profile)
     return tuple(profile)
 
 
@@ -486,81 +506,66 @@ def crossing_word(loop: FlaggedLoop, plane: PuncturedPlane) -> SignedWord:
 # --- seeded sampling -------------------------------------------------------
 
 
-def _eighths(rng: random.Random, lo: int, hi: int) -> Fraction:
-    return Fraction(rng.randint(lo, hi), 8)
-
-
-def _rect_ring(center: Point, radii: Sequence[Fraction], ccw: bool) -> tuple[Point, ...]:
-    pts: list[Point] = []
-    for a in radii:
-        pts.extend(
-            (
-                Point(center.x + a, center.y - a),
-                Point(center.x + a, center.y + a),
-                Point(center.x - a, center.y + a),
-                Point(center.x - a, center.y - a),
-            )
-        )
-    if not ccw:
-        pts.reverse()
-    return tuple(pts)
-
-
-def _spiral_vertices(rng: random.Random, p: Point) -> tuple[Point, ...]:
-    laps = rng.randint(1, 3)
-    ccw = rng.randint(0, 1) == 1
-    center = Point(p.x + _eighths(rng, -4, 4), p.y + _eighths(rng, -4, 4))
-    radii = [1 + t + _eighths(rng, 0, 3) for t in range(laps)]
-    return _rect_ring(center, radii, ccw)
-
-
-def _offset_square_vertices(rng: random.Random, p: Point) -> tuple[Point, ...]:
-    center = Point(p.x + 3 + _eighths(rng, 0, 3), p.y + _eighths(rng, -4, 4))
-    ccw = rng.randint(0, 1) == 1
-    return _rect_ring(center, [Fraction(1, 2)], ccw)
-
-
-def _bounding_box_vertices(rng: random.Random, plane: PuncturedPlane) -> tuple[Point, ...]:
-    xs = [p.x for p in plane.punctures]
-    ys = [p.y for p in plane.punctures]
-    margin = 5 + _eighths(rng, 1, 3)
-    lo = Point(min(xs) - margin, min(ys) - margin)
-    hi = Point(max(xs) + margin, max(ys) + margin)
-    ccw = rng.randint(0, 1) == 1
-    pts = (
-        Point(hi.x, lo.y),
-        Point(hi.x, hi.y),
-        Point(lo.x, hi.y),
-        Point(lo.x, lo.y),
-    )
-    return pts if ccw else tuple(reversed(pts))
+def _corners(x0: int, y0: int, x1: int, y1: int) -> list[_IntPoint]:
+    """The corners of ``[x0, x1] x [y0, y1]``, counterclockwise from the lower right."""
+    return [(x1, y0), (x1, y1), (x0, y1), (x0, y0)]
 
 
 def sample_loop(rng: random.Random, plane: PuncturedPlane) -> FlaggedLoop:
     """One seeded loop: a spiral around some puncture, an offset square, or a
     box around everything.  Winding numbers stay within ``[-3, 3]``.
 
+    Every coordinate is a puncture coordinate plus a whole number of eighths,
+    so the loop is drawn straight onto integers over ``lcm(plane._den, 8)``
+    and checked there.
+
     Assumes punctures are spread out (pairwise distance above ~9); retries a
     few times against accidental contact before giving up.
     """
-    k = len(plane.punctures)
+    den = math.lcm(plane._den, 8)
+    e = den // 8  # one eighth
+    punctures = _times(plane._ints, den // plane._den)
+    k = len(punctures)
     n_kinds = k + 2 if k > 1 else 2
     for _ in range(20):
         kind = rng.randrange(n_kinds)
         if kind < k:
-            vertices = _spiral_vertices(rng, plane.punctures[kind])
+            # A spiral of 1 to 3 square laps, of half-widths 1, 2, 3 plus eighths.
+            px, py = punctures[kind]
+            laps = rng.randint(1, 3)
+            ccw = rng.randint(0, 1) == 1
+            cx, cy = px + e * rng.randint(-4, 4), py + e * rng.randint(-4, 4)
+            ints = []
+            for t in range(laps):
+                a = e * (8 + 8 * t + rng.randint(0, 3))
+                ints += _corners(cx - a, cy - a, cx + a, cy + a)
         elif kind == k:
-            vertices = _offset_square_vertices(rng, plane.punctures[rng.randrange(k)])
+            # A unit square about 3 to the right of a puncture.
+            px, py = punctures[rng.randrange(k)]
+            cx, cy = px + e * (24 + rng.randint(0, 3)), py + e * rng.randint(-4, 4)
+            ccw = rng.randint(0, 1) == 1
+            ints = _corners(cx - 4 * e, cy - 4 * e, cx + 4 * e, cy + 4 * e)
         else:
-            vertices = _bounding_box_vertices(rng, plane)
-        flag = rng.randrange(len(vertices))
+            # A box with a margin of 5 plus eighths around every puncture.
+            margin = e * (40 + rng.randint(1, 3))
+            xs = [x for x, _ in punctures]
+            ys = [y for _, y in punctures]
+            ccw = rng.randint(0, 1) == 1
+            ints = _corners(
+                min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin
+            )
+        if not ccw:
+            ints.reverse()
+        flag = rng.randrange(len(ints))
         traversal = "F" if rng.randint(0, 1) == 0 else "B"
-        loop = FlaggedLoop(vertices, flag, traversal)
         try:
-            ensure_avoids(loop, plane)
+            _check_avoids(ints, punctures)
         except DomainError:
             continue
-        return loop
+        # The loop keeps the least denominator, as one built from its Points would.
+        g = math.gcd(den, *chain.from_iterable(ints))
+        ints = [(x // g, y // g) for x, y in ints]
+        return FlaggedLoop._of_ints(den // g, ints, flag, traversal)
     raise DomainError(
         "could not sample a loop clear of the punctures; spread the punctures out"
     )

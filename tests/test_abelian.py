@@ -110,6 +110,14 @@ class TestAbelianVector:
         assert str(info.value).startswith(f"1:{column}: ")
 
 
+# Lattices up to 6x6 with entries in [-9, 9].
+LATTICE_ROWS = st.integers(1, 6).flatmap(
+    lambda dim: st.lists(
+        st.lists(st.integers(-9, 9), min_size=dim, max_size=dim), min_size=1, max_size=6
+    )
+)
+
+
 class TestRelationLattice:
     @pytest.mark.parametrize(
         "rows, dim",
@@ -188,13 +196,7 @@ class TestRelationLattice:
             with pytest.raises(DomainError, match="has an entry that is not an int"):
                 method(vec)
 
-    @given(
-        st.integers(1, 6).flatmap(
-            lambda dim: st.lists(
-                st.lists(st.integers(-9, 9), min_size=dim, max_size=dim), min_size=1, max_size=6
-            )
-        )
-    )
+    @given(LATTICE_ROWS)
     def test_echelon_basis_is_the_hermite_normal_form(self, rows):
         lat = RelationLattice.from_rows(rows)
         basis, pivots = lat._echelon
@@ -205,6 +207,22 @@ class TestRelationLattice:
             assert _exact_member(rows, row)
         for row in rows:
             assert lat.reduce(tuple(row)) == (0,) * lat.dim
+
+    def test_repeated_and_dependent_rows_change_no_basis(self):
+        rows = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
+        dependent = [[2, 1, 0], [2, 4, 1], [0, 0, 0], [-1, 3, -4], [2, 1, 0]]
+        assert (
+            RelationLattice.from_rows(rows + dependent).basis
+            == RelationLattice.from_rows(rows).basis
+        )
+
+    @given(LATTICE_ROWS, st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=6))
+    def test_rows_that_join_nothing_change_no_basis(self, rows, coefficients):
+        # After each row: that row again, and a combination of it with the first.
+        mixed = []
+        for row, (c, d) in zip(rows, coefficients):
+            mixed += [row, row, [c * x + d * y for x, y in zip(row, rows[0])]]
+        assert RelationLattice.from_rows(mixed).basis == RelationLattice.from_rows(rows).basis
 
     def test_a_large_echelon_keeps_its_entries_small(self):
         # Entries left unreduced until every row has joined grow without bound

@@ -16,10 +16,7 @@ from flagcalc.plane import (
     FlaggedLoop,
     Point,
     PuncturedPlane,
-    _bounding_box_vertices,
     _detour_point,
-    _offset_square_vertices,
-    _spiral_vertices,
     _walk,
     connected_sum,
     connected_sum_auto,
@@ -56,6 +53,12 @@ DATA = Path(__file__).parent / "data"
 # detours mix denominators 3, 7 and the base points' 3 to 17.
 GOLDEN_PLANE = PuncturedPlane(
     (Point.of(0, 0), Point.of(10, Fraction(1, 3)), Point.of(-10, Fraction(-2, 7)))
+)
+
+# Punctures close enough that some sampled loops touch one, so sampling has to
+# retry, and others put a vertex on a downward ray.
+CROWDED_PLANE = PuncturedPlane(
+    (Point.of(0, 0), Point.of(3, 5), Point.of(-2, Fraction(1, 2)))
 )
 
 
@@ -180,6 +183,79 @@ class TestWindingNumber:
 
     def test_profile_orders_by_puncture(self):
         assert winding_profile(CCW_SQUARE, TWO_PUNCTURES) == (1, 0)
+
+
+def every_walk(points) -> list[FlaggedLoop]:
+    """The loop on ``points`` from each flag vertex, in both traversals."""
+    return [FlaggedLoop(points, f, t) for f in range(len(points)) for t in "FB"]
+
+
+def sense(loop: FlaggedLoop) -> int:
+    return 1 if loop.traversal == "F" else -1
+
+
+def split_at_heights(points, heights) -> tuple[Point, ...]:
+    """``points`` with a vertex added wherever an edge strictly crosses one of ``heights``."""
+    out = []
+    for a, b in zip(points, points[1:] + points[:1]):
+        out.append(a)
+        crossed = [h for h in heights if min(a.y, b.y) < h < max(a.y, b.y)]
+        cuts = sorted(((h - a.y) / (b.y - a.y), h) for h in crossed)
+        out.extend(Point(a.x + t * (b.x - a.x), h) for t, h in cuts)
+    return tuple(out)
+
+
+class TestWindingAtThePunctureHeight:
+    """Edges with an end on a puncture's horizontal, which the skip of edges
+    wholly above or below it must keep."""
+
+    def test_horizontal_edge_through_the_puncture_is_refused(self):
+        for loop in every_walk((Point.of(-1, 0), Point.of(1, 0), Point.of(0, 1))):
+            with pytest.raises(DomainError, match="touches the puncture"):
+                winding_profile(loop, ONE_PUNCTURE)
+            with pytest.raises(DomainError, match="^loop edge 0 passes through puncture 1$"):
+                ensure_avoids(loop, ONE_PUNCTURE)
+
+    def test_horizontal_edge_beside_the_puncture_counts_nothing(self):
+        # Counterclockwise around the origin, with the edge (1,0)-(2,0) on
+        # its horizontal; the edge leaving (2,0) upward is the one that counts.
+        right = (
+            Point.of(1, 0), Point.of(2, 0), Point.of(2, 1),
+            Point.of(-1, 1), Point.of(-1, -1), Point.of(1, -1),
+        )
+        left = tuple(Point(-p.x, p.y) for p in reversed(right))
+        for points in (right, left):
+            for loop in every_walk(points):
+                ensure_avoids(loop, ONE_PUNCTURE)
+                assert winding_profile(loop, ONE_PUNCTURE) == (sense(loop),)
+                assert angle_sum_winding(loop, ORIGIN) == sense(loop)
+
+    def test_a_vertex_on_the_horizontal_counts_once(self):
+        # The diamond crosses the origin's horizontal at its vertex (1,0):
+        # that crossing counts once, on one of the two edges that meet there.
+        diamond = (Point.of(1, 0), Point.of(0, 1), Point.of(-1, 0), Point.of(0, -1))
+        for loop in every_walk(diamond):
+            assert winding_profile(loop, ONE_PUNCTURE) == (sense(loop),)
+        # A vertex that meets the horizontal and turns back counts nothing.
+        above = (Point.of(1, 0), Point.of(2, 1), Point.of(0, 1))
+        below = (Point.of(1, 0), Point.of(0, -1), Point.of(2, -1))
+        for points in (above, below):
+            for loop in every_walk(points):
+                assert winding_profile(loop, ONE_PUNCTURE) == (0,)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_every_flag_gives_one_profile_and_b_negates_it(self, seed):
+        # Each sampled loop, and the same loop with a vertex added wherever
+        # it crosses a puncture's horizontal, which changes no winding.
+        punctures = CROWDED_PLANE.punctures
+        heights = {p.y for p in punctures}
+        for loop in sample_loops(CROWDED_PLANE, 100, seed):
+            forward = FlaggedLoop(loop.vertices, 0, "F")
+            want = tuple(angle_sum_winding(forward, p) for p in punctures)
+            for points in (loop.vertices, split_at_heights(loop.vertices, heights)):
+                for walk in every_walk(points):
+                    got = winding_profile(walk, CROWDED_PLANE)
+                    assert got == tuple(sense(walk) * w for w in want)
 
 
 class TestNormalizeFlag:
@@ -343,11 +419,56 @@ class TestCrossingWord:
         assert format_free_word(SignedWord(gens)) == ""
 
 
-# Punctures close enough that some sampled loops touch one, so sampling has to
-# retry, and others put a vertex on a downward ray.
-CROWDED_PLANE = PuncturedPlane(
-    (Point.of(0, 0), Point.of(3, 5), Point.of(-2, Fraction(1, 2)))
-)
+def eighths(rng: random.Random, lo: int, hi: int) -> Fraction:
+    return Fraction(rng.randint(lo, hi), 8)
+
+
+def box(lo: Point, hi: Point) -> list[Point]:
+    """The corners of the box from ``lo`` to ``hi``, counterclockwise from lower right."""
+    return [Point(hi.x, lo.y), hi, Point(lo.x, hi.y), lo]
+
+
+def reference_draw(rng: random.Random, plane: PuncturedPlane) -> FlaggedLoop:
+    """One of ``sample_loop``'s draws, in its order, built from Points and Fractions."""
+    k = len(plane.punctures)
+    kind = rng.randrange(k + 2 if k > 1 else 2)
+    if kind < k:
+        p = plane.punctures[kind]
+        laps = rng.randint(1, 3)
+        ccw = rng.randint(0, 1) == 1
+        c = Point(p.x + eighths(rng, -4, 4), p.y + eighths(rng, -4, 4))
+        radii = [1 + t + eighths(rng, 0, 3) for t in range(laps)]
+    elif kind == k:
+        p = plane.punctures[rng.randrange(k)]
+        c = Point(p.x + 3 + eighths(rng, 0, 3), p.y + eighths(rng, -4, 4))
+        ccw = rng.randint(0, 1) == 1
+        radii = [Fraction(1, 2)]
+    if kind <= k:
+        vertices = [
+            v for a in radii for v in box(Point(c.x - a, c.y - a), Point(c.x + a, c.y + a))
+        ]
+    else:
+        xs = [p.x for p in plane.punctures]
+        ys = [p.y for p in plane.punctures]
+        margin = 5 + eighths(rng, 1, 3)
+        ccw = rng.randint(0, 1) == 1
+        vertices = box(
+            Point(min(xs) - margin, min(ys) - margin),
+            Point(max(xs) + margin, max(ys) + margin),
+        )
+    if not ccw:
+        vertices.reverse()
+    flag = rng.randrange(len(vertices))
+    return FlaggedLoop(vertices, flag, "F" if rng.randint(0, 1) == 0 else "B")
+
+
+def reference_sample(rng: random.Random, plane: PuncturedPlane, keeps) -> FlaggedLoop:
+    """The first of up to 20 :func:`reference_draw` loops that ``keeps`` returns true on."""
+    for _ in range(20):
+        loop = reference_draw(rng, plane)
+        if keeps(loop):
+            return loop
+    raise AssertionError("no loop kept in 20 draws")
 
 
 def crossing_word_sample(
@@ -357,24 +478,27 @@ def crossing_word_sample(
 
     The name of each refusal's error class is appended to ``refused``.
     """
-    k = len(plane.punctures)
-    for _ in range(20):
-        kind = rng.randrange(k + 2 if k > 1 else 2)
-        if kind < k:
-            vertices = _spiral_vertices(rng, plane.punctures[kind])
-        elif kind == k:
-            vertices = _offset_square_vertices(rng, plane.punctures[rng.randrange(k)])
-        else:
-            vertices = _bounding_box_vertices(rng, plane)
-        flag = rng.randrange(len(vertices))
-        loop = FlaggedLoop(vertices, flag, "F" if rng.randint(0, 1) == 0 else "B")
+
+    def reads(loop: FlaggedLoop) -> bool:
         try:
             crossing_word(loop, plane)
         except DomainError as exc:
             refused.append(type(exc).__name__)
-            continue
-        return loop
-    raise AssertionError("no loop with a crossing word in 20 draws")
+            return False
+        return True
+
+    return reference_sample(rng, plane, reads)
+
+
+def avoids(plane: PuncturedPlane):
+    def check(loop: FlaggedLoop) -> bool:
+        try:
+            ensure_avoids(loop, plane)
+        except DomainError:
+            return False
+        return True
+
+    return check
 
 
 class TestSampling:
@@ -397,6 +521,24 @@ class TestSampling:
         ]
         assert sample_loops(CROWDED_PLANE, 200, seed) == expected
         assert set(refused) == {"DomainError"}
+
+    @pytest.mark.parametrize(
+        "plane",
+        [ONE_PUNCTURE, TWO_PUNCTURES, CROWDED_PLANE, GOLDEN_PLANE],
+        ids=["one", "two", "crowded", "golden"],
+    )
+    def test_integer_draws_match_the_fraction_draws(self, plane):
+        # Equal loops also have equal integer forms: the least denominator
+        # and the vertices over it.
+        for seed in range(60):
+            rng = random.Random(seed)
+            expected = [reference_sample(rng, plane, avoids(plane)) for _ in range(12)]
+            got = sample_loops(plane, 12, seed)
+            assert [
+                (loop._den, loop._ints, loop.flag_vertex, loop.traversal) for loop in got
+            ] == [
+                (loop._den, loop._ints, loop.flag_vertex, loop.traversal) for loop in expected
+            ]
 
     def test_windings_stay_small(self):
         for loop in sample_loops(ONE_PUNCTURE, 50, seed=17):
