@@ -15,14 +15,16 @@ entry per generator, the type :func:`flagcalc.plane.winding_profile` gives a
 loop's image in H_1.
 
 Lattice reduction uses an integer Hermite-style echelon basis computed once
-per lattice; all arithmetic is arbitrary-precision, so there is no overflow
-to guard against.
+per lattice.  One rule reduces both a vector and the basis itself, whose
+rows are reduced by the rows below them from the bottom up; all arithmetic
+is arbitrary-precision, so there is no overflow to guard against.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +70,15 @@ def _first_nonzero(row: list[int]) -> int | None:
     return None
 
 
+def _reduce_by(v: list[int], rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> list[int]:
+    # Puts v's entry at each echelon row's pivot into [0, pivot), row by row.
+    for brow, j in zip(rows, pivots):
+        q = v[j] // brow[j]
+        if q:
+            v = [x - q * y for x, y in zip(v, brow)]
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class RelationLattice:
     """Integer row lattice in Z^dim, given by (possibly dependent) rows."""
@@ -98,51 +109,33 @@ class RelationLattice:
     def _echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Canonical echelon basis and its pivot columns.
 
-        Pivots are positive and move right down the basis.  As each row joins,
-        the entries above each pivot are reduced into ``[0, pivot)``, which keeps
-        them bounded (Kannan & Bachem 1979); equal lattices share one basis.
+        Pivots are positive and move right down the basis.  After each row
+        joins, each basis row is reduced by the rows below it, from the bottom
+        up, by the rule of :meth:`reduce`; that keeps the entries bounded
+        (Kannan & Bachem 1979), and equal lattices share one basis.
         """
         basis: list[list[int]] = []
         pivots: list[int] = []
         for row in self.rows:
             v = list(row)
-            changed = False
-            while True:
-                j = _first_nonzero(v)
-                if j is None:
-                    break
+            while (j := _first_nonzero(v)) is not None:
                 k = bisect_left(pivots, j)
-                if k < len(pivots) and pivots[k] == j:
-                    brow = basis[k]
-                    a, b = brow[j], v[j]
-                    if b % a == 0:
-                        q = b // a
-                        v = [x - q * y for x, y in zip(v, brow)]
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        combined = [x * p + y * q2 for p, q2 in zip(brow, v)]
-                        v = [(a // g) * q2 - (b // g) * p for p, q2 in zip(brow, v)]
-                        basis[k] = combined
-                        changed = True
-                else:
-                    basis.insert(k, v)
+                if k == len(pivots) or pivots[k] != j:
+                    basis.insert(k, v if v[j] > 0 else [-x for x in v])
                     pivots.insert(k, j)
-                    changed = True
                     break
-            if not changed:
-                # The row reduced to zero by exact division alone, so the
-                # basis is as the passes below left it after an earlier row.
-                continue
-            for k, j in enumerate(pivots):
-                if basis[k][j] < 0:
-                    basis[k] = [-x for x in basis[k]]
-            for k in range(len(basis)):
-                j = pivots[k]
-                pivot = basis[k][j]
-                for i in range(k):
-                    q = basis[i][j] // pivot
-                    if q:
-                        basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
+                brow = basis[k]
+                a, b = brow[j], v[j]
+                if b % a == 0:
+                    q = b // a
+                    v = [x - q * y for x, y in zip(v, brow)]
+                else:
+                    # The combined row's pivot is the gcd, which is positive.
+                    g, x, y = _xgcd(a, b)
+                    basis[k] = [x * p + y * q2 for p, q2 in zip(brow, v)]
+                    v = [(a // g) * q2 - (b // g) * p for p, q2 in zip(brow, v)]
+            for k in range(len(basis) - 2, -1, -1):
+                basis[k] = _reduce_by(basis[k], basis[k + 1 :], pivots[k + 1 :])
         return tuple(tuple(r) for r in basis), tuple(pivots)
 
     @property
@@ -166,13 +159,7 @@ class RelationLattice:
             )
         if any(type(x) is not int for x in coords):
             raise DomainError(f"vector {coords!r} has an entry that is not an int")
-        basis, pivots = self._echelon
-        v = list(coords)
-        for brow, j in zip(basis, pivots):
-            q = v[j] // brow[j]
-            if q:
-                v = [x - q * y for x, y in zip(v, brow)]
-        return tuple(v)
+        return tuple(_reduce_by(list(coords), *self._echelon))
 
     def contains(self, coords: tuple[int, ...]) -> bool:
         return all(x == 0 for x in self.reduce(coords))

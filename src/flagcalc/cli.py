@@ -73,7 +73,7 @@ MAX_SWEEP_SAMPLES = trees.DEFAULT_CLOSURE_CAP
 
 @dataclass
 class Session:
-    """Mutable shell state threaded through :func:`run_command`."""
+    """Mutable shell state that each command line reads and changes."""
 
     gens: words.GeneratorSet | None = None
     canon: frozenset[words.SignedWord] = frozenset()
@@ -454,28 +454,15 @@ _HANDLERS: dict[str, Callable[[Session, str, list[Token]], tuple[str, int]]] = {
 }
 
 
-def run_command(
-    session: Session, argv: list[str]
-) -> tuple[Session, str | None, str | None, int]:
-    """Execute one command given as its words; returns (session, stdout text, stderr text, code).
-
-    A literal argument is its words joined by spaces, and errors are placed
-    in that joined line.
-    """
-    tokens: list[Token] = []
-    start = 0
-    for value in argv:
-        tokens.append((value, start, start + len(value)))
-        start += len(value) + 1
-    return (session, *_execute(session, " ".join(argv), 1, tokens))
+def run_command(session: Session, argv: list[str]) -> tuple[Session, str | None, str | None, int]:
+    """Run ``argv`` joined by spaces as a script line; returns (session, stdout, stderr, code)."""
+    return (session, *_execute(session, " ".join(argv), 1))
 
 
-def _execute(
-    session: Session, line: str, lineno: int, tokens: list[Token] | None = None
-) -> tuple[str | None, str | None, int]:
-    """Run ``line``, line ``lineno`` of a script; ``tokens`` are its words, if given."""
+def _execute(session: Session, line: str, lineno: int) -> tuple[str | None, str | None, int]:
+    """Run ``line``, line ``lineno`` of a script."""
     try:
-        text, code = parse_at(lineno, 1, _dispatch, line, session, tokens)
+        text, code = parse_at(lineno, 1, _dispatch, line, session)
     except (ParseError, _FileParseError) as exc:
         return None, str(exc), 2
     except FlagcalcError as exc:
@@ -487,8 +474,8 @@ def _execute(
     return text, None, code
 
 
-def _dispatch(line: str, session: Session, tokens: list[Token] | None) -> tuple[str | None, int]:
-    tokens = _lex(line) if tokens is None else tokens
+def _dispatch(line: str, session: Session) -> tuple[str | None, int]:
+    tokens = _lex(line)
     if not tokens:
         return None, 0
     name, start, _ = tokens[0]

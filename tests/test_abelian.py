@@ -184,6 +184,11 @@ class TestRelationLattice:
         assert one != RelationLattice((), 2)
         assert one.reduce((3, 1)) == two.reduce((3, 1)) == (1, 1)
 
+    def test_a_lattice_is_unequal_to_another_type(self):
+        lat = RelationLattice.from_rows([[1]])
+        assert lat.__eq__(1) is NotImplemented
+        assert lat != 1 and not lat == 1
+
     def test_dimension_mismatch(self):
         lat = RelationLattice.from_rows([[2, 0]])
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flagcalc import plane as plane_module
 from flagcalc.abelian import abelianize
 from flagcalc.errors import DomainError, ParseError, RerouteError
 from flagcalc.plane import (
@@ -83,6 +84,9 @@ class TestPoint:
         p = Point.of(1, -2)
         assert p.x == Fraction(1) and p.y == Fraction(-2)
         assert Point.of(Fraction(1, 3), 0).x == Fraction(1, 3)
+
+    def test_str_is_the_point_literal(self):
+        assert str(Point.of(1, Fraction(-1, 2))) == "(1,-1/2)"
 
 
 class TestPuncturedPlane:
@@ -311,6 +315,23 @@ class TestNormalizeFlag:
             normalize_flag(loop, ORIGIN, ONE_PUNCTURE)
         assert normalize_flag(loop, self.BASE, ONE_PUNCTURE) is moved
 
+    def test_gives_up_when_no_return_leg_clears_the_punctures(self):
+        # The corridor from (1/3, 0) runs straight down to the base.  Two
+        # punctures 12/2^20 either side of it at y = -24/5 sit inside every
+        # triangle the search tries, since its smallest offset is 12/2^15.
+        flag = Point.of(Fraction(1, 3), 0)
+        eps = Fraction(12, 2**20)
+        plane = PuncturedPlane(
+            (Point.of(flag.x - eps, Fraction(-24, 5)), Point.of(flag.x + eps, Fraction(-24, 5)))
+        )
+        loop = FlaggedLoop(
+            (flag, Point.of(Fraction(4, 3), 0), Point.of(Fraction(4, 3), 1), Point.of(flag.x, 1)),
+            0,
+        )
+        assert self.BASE == DEFAULT_BASE_POINTS[0]
+        with pytest.raises(RerouteError, match="could not route the corridor's return leg"):
+            normalize_flag(loop, self.BASE, plane)
+
     def test_another_plane_is_checked_again(self):
         loop = FlaggedLoop(CCW_SQUARE.vertices, 0)
         normalize_flag(loop, self.BASE, ONE_PUNCTURE)
@@ -369,6 +390,16 @@ class TestConnectedSum:
         assert total.vertices[total.flag_vertex] == second == Point.of(Fraction(2, 7), -14)
         assert total == connected_sum(loop, 1, -1, loop, second, plane)
         assert winding_profile(total, plane) == (2, 0)
+
+    def test_auto_gives_up_when_every_corridor_is_blocked(self):
+        # One puncture at the midpoint of each corridor from the flag (0, 1).
+        flag = Point.of(0, 1)
+        plane = PuncturedPlane(
+            tuple(Point((flag.x + b.x) / 2, (flag.y + b.y) / 2) for b in DEFAULT_BASE_POINTS)
+        )
+        loop = FlaggedLoop((flag, Point.of(1, 1), Point.of(1, 2), Point.of(0, 2)), 0)
+        with pytest.raises(RerouteError, match="no usable base point"):
+            connected_sum_auto(loop, 1, -1, loop, plane)
 
 
 class TestCrossingWord:
@@ -539,6 +570,18 @@ class TestSampling:
             ] == [
                 (loop._den, loop._ints, loop.flag_vertex, loop.traversal) for loop in expected
             ]
+
+    def test_gives_up_when_every_draw_is_refused(self, monkeypatch):
+        refused = []
+
+        def refuse(ints, punctures):
+            refused.append(ints)
+            raise DomainError("loop passes through puncture")
+
+        monkeypatch.setattr(plane_module, "_check_avoids", refuse)
+        with pytest.raises(DomainError, match="could not sample a loop clear of the punctures"):
+            sample_loops(ONE_PUNCTURE, 1, seed=0)
+        assert len(refused) == 20
 
     def test_windings_stay_small(self):
         for loop in sample_loops(ONE_PUNCTURE, 50, seed=17):

@@ -228,6 +228,15 @@ class TestPresentationClass:
             assert (a == b) == (a.members() == b.members())
             assert a != b or hash(a) == hash(b)
 
+    def test_a_class_is_unequal_to_another_type(self):
+        cls = class_of(w("a+"))
+        assert cls.__eq__(1) is NotImplemented
+        assert cls != 1 and not cls == 1
+
+    def test_str_shows_canonical_then_anti(self):
+        # The laws and assoc suites print a failing class this way.
+        assert str(class_of(w("b- a-"))) == "{a+ b+ | b- a-}"
+
     def test_signed_form_selects_member(self):
         cls = class_of(w("b- a-"))
         assert cls.canonical == w("a+ b+")
