@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, ParseError, parse_at, read_int, strip_comment
+from .errors import DomainError, ParseError, parse_at, plain_digits, read_int, strip_comment
 from .words import GeneratorSet, SignedWord, letter_tokens
 
 
@@ -191,29 +191,34 @@ def parse_vector(text: str) -> tuple[int, ...]:
     inner = stripped[1:-1]
     if not inner.strip():
         raise ParseError("vector literal needs at least one entry", column=offset + 2)
+    parts = inner.split(",")
+    try:
+        # One check of the whole literal lets int() read each entry; else the
+        # integer reader reads them, and places its error at the entry.
+        if plain_digits(inner):
+            return tuple(map(int, parts))
+    except ValueError:
+        pass
+    message = "bad integer {} in vector literal"
     coords = []
     column = offset + 2  # of the current comma part in ``text``
-    for part in inner.split(","):
-        try:
-            coords.append(int(part))
-        except ValueError:
-            # Only a refused entry goes to the integer reader, which raises
-            # its error, moved to the entry's column; a good one costs no call.
-            start = column + len(part) - len(part.lstrip())
-            parse_at(1, start, read_int, part.strip(), "bad integer {} in vector literal")
+    for part in parts:
+        start = column + len(part) - len(part.lstrip())
+        coords.append(parse_at(1, start, read_int, part.strip(), message))
         column += len(part) + 1
     return tuple(coords)
 
 
 def parse_lattice_row(raw: str) -> list[int]:
     """Parse one lattice row: integers, then an optional ``#`` comment."""
-    row = []
-    for m in re.finditer(r"\S+", strip_comment(raw)):
-        try:
-            row.append(int(m[0]))
-        except ValueError:  # as in parse_vector
-            parse_at(1, m.start() + 1, read_int, m[0], "bad integer {} in lattice row")
-    return row
+    text = strip_comment(raw)
+    try:
+        if plain_digits(text):  # as in parse_vector
+            return list(map(int, text.split()))
+    except ValueError:
+        pass
+    message = "bad integer {} in lattice row"
+    return [parse_at(1, m.start() + 1, read_int, m[0], message) for m in re.finditer(r"\S+", text)]
 
 
 def parse_lattice(text: str) -> RelationLattice:

@@ -86,7 +86,7 @@ def check_digit_limit(token: str) -> None:
 
     CPython refuses to convert text of more than
     ``sys.get_int_max_str_digits()`` digits to an ``int``.  Call this where
-    ``int`` or ``Fraction`` refused ``token``.  The limit is left as it is:
+    a number reader refused ``token``.  The limit is left as it is:
     raising it would change the whole interpreter, not only this package.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -113,18 +113,28 @@ def parse_at(line: int, column: int, parse: Callable[..., _T], text: str, *args:
         raise
 
 
-def read_int(token: str, message: str, expected: tuple[str, ...] = ("integer",)) -> int:
-    """``int(token)``, or a parse error at column 1 of ``token`` with ``message``.
+def plain_digits(text: str) -> bool:
+    """Whether ``int`` reads numbers in ``text`` only as ASCII ``[+-]?[0-9]+``.
 
-    A ``{}`` in ``message`` stands for an excerpt of ``token``.  A number too
-    long to read is a :class:`ResourceLimitError` (:func:`check_digit_limit`).
+    It would also read ``_`` between digits and any Unicode digit: ``١٢``, ``１２``.
+    """
+    return text.isascii() and "_" not in text
+
+
+def read_int(token: str, message: str, expected: tuple[str, ...] = ("integer",)) -> int:
+    """``token`` as ASCII ``[+-]?[0-9]+`` with spaces around it, or a parse error.
+
+    The error is at column 1 of ``token``, with ``message``, where a ``{}``
+    stands for an excerpt of ``token``.  A number too long to read is a
+    :class:`ResourceLimitError` (:func:`check_digit_limit`).
     """
     try:
-        return int(token)
+        if plain_digits(token.strip()):
+            return int(token)
     except ValueError:
-        check_digit_limit(token)
-        message = message.format(excerpt(token))
-        raise ParseError(message, column=1, expected=expected) from None
+        pass
+    check_digit_limit(token)
+    raise ParseError(message.format(excerpt(token)), column=1, expected=expected)
 
 
 def strip_comment(line: str) -> str:

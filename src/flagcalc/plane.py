@@ -14,20 +14,17 @@ crossings lives in the monoid of signed words; free reduction
 (:func:`flagcalc.words.free_reduce`) is the map from that monoid to the
 plane's fundamental group pi_1, and a crossing word is its reduced image.
 
-Coordinates are rational, but the predicates run on integers.  A loop
-carries its vertices as integer pairs over their least common denominator,
-computed once when it is built from points.  The loops that flag moves and
-connected sums derive are built straight from their operands' integers, the
-seeded sampler draws its loops straight onto integers, and a loop builds its
-``Point`` tuple only when asked for it.  A plane keeps its punctures the
-same way.  Each operation scales the loop, the punctures and the base point
-to one common denominator (:func:`_over_one_den`), then takes every
-orientation, on-segment, triangle, ray and ordering test on Python ints.
-Each test is the sign of an order comparison or of a cross product, and
-multiplying every coordinate by one positive integer keeps those signs, so
-the answers are those of the rational points, with no tolerances.  The
-winding count and the contact check skip every edge wholly above or wholly
-below a puncture before they take a cross product: such an edge can neither
+Coordinates are rational, but every number here is an integer.  A point, a
+loop and a plane each keep their coordinates as integer pairs over their
+least common denominator.  Text is read into those integers with ASCII
+digits and written from them; derived and sampled loops are built straight
+on integers; ``Point.x`` and ``.y`` build a ``Fraction`` for library callers.
+Each operation scales the loop, the punctures and the base point to one
+common denominator (:func:`_over_one_den`), then takes every orientation,
+on-segment, triangle, ray and ordering test on Python ints: each is the sign
+of a comparison or of a cross product, which scaling by one positive integer
+keeps, so the answers are exact.  The winding count and the contact check
+skip every edge wholly above or wholly below a puncture, which can neither
 cross the puncture's horizontal nor touch it.
 
 The corridor's return leg is offset by a small rational shear so the out and
@@ -45,7 +42,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, TypeVar
+from numbers import Rational
+from typing import Iterator, Sequence, TypeVar
 
 from .errors import (
     DomainError,
@@ -60,39 +58,86 @@ from .errors import (
 from .words import GeneratorSet, Sign, SignedWord, _check_sign, free_reduce
 
 
-@dataclass(frozen=True)
-class Point:
-    x: Fraction
-    y: Fraction
-
-    @classmethod
-    def of(cls, x: int | str | Fraction, y: int | str | Fraction) -> "Point":
-        return cls(Fraction(x), Fraction(y))
-
-    def __str__(self) -> str:
-        return format_point(self)
-
-
 # A point scaled to integers: its coordinates times a common denominator.
 _IntPoint = tuple[int, int]
 # A tuple or a list, sliced and concatenated with its own kind.
 _Seq = TypeVar("_Seq", tuple, list)
 
 
-def _lcd(points: Iterable[Point]) -> int:
-    """The least common denominator of the coordinates of ``points``."""
-    return math.lcm(*{c.denominator for p in points for c in (p.x, p.y)})
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class Point:
+    """A rational point: the integer pair ``_xy`` over ``_den``, its least denominator.
+
+    ``Point(x, y)`` takes ints or ``Fraction``s; anything else, a float too,
+    is a :class:`DomainError`.  ``x`` and ``y`` build a ``Fraction`` on each read.
+    """
+
+    _den: int
+    _xy: _IntPoint
+
+    def __init__(self, x: Rational, y: Rational) -> None:
+        self._put(*_terms(x), *_terms(y))
+
+    @classmethod
+    def of(cls, x: int | str | Fraction, y: int | str | Fraction) -> Point:
+        """``Point(x, y)``, also from a coordinate's text; ValueError if it spells none."""
+        point = object.__new__(cls)
+        point._put(*_terms(x, text=True), *_terms(y, text=True))
+        return point
+
+    def _put(self, nx: int, dx: int, ny: int, dy: int) -> None:
+        den, [xy] = _least(dx * dy, [(nx * dy, ny * dx)])
+        _set_den(self, den)
+        _set_xy(self, xy)
+
+    x = property(lambda self: _fraction(Fraction, self._xy[0], self._den))
+    y = property(lambda self: _fraction(Fraction, self._xy[1], self._den))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(x={self.x!r}, y={self.y!r})"
+
+    def __str__(self) -> str:
+        return format_point(self)
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.x, self.y))
 
 
-def _scale(points: Iterable[Point], den: int) -> list[_IntPoint]:
-    """``points`` times ``den``, a multiple of every coordinate's denominator."""
-    return [
-        (
-            p.x.numerator * (den // p.x.denominator),
-            p.y.numerator * (den // p.y.denominator),
-        )
-        for p in points
-    ]
+# FlaggedLoop.vertices makes a Point per vertex and bench/layers.py reads both
+# coordinates of each, so both skip a call: the setters pass the frozen check,
+# and Fraction, having no __init__, needs only its __new__.
+_set_den = Point._den.__set__  # type: ignore[attr-defined]
+_set_xy = Point._xy.__set__  # type: ignore[attr-defined]
+_fraction = Fraction.__new__
+_COORDINATE_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def _terms(c: object, text: bool = False) -> tuple[int, int]:
+    """The numerator and denominator of an int, a Fraction or, with ``text``, a str.
+
+    A str must spell ``[+-]?[0-9]+(/[0-9]+)?``, with spaces around it, else ValueError.
+    """
+    if text and isinstance(c, str):
+        m = _COORDINATE_RE.fullmatch(c)
+        den = 0 if m is None else int(m[2] or 1)
+        if not den:
+            raise ValueError(f"bad rational coordinate {excerpt(c)}")
+        return int(m[1]), den
+    if not isinstance(c, Rational):
+        raise DomainError(f"a coordinate must be an int or a Fraction, not {type(c).__name__}")
+    return c.numerator, c.denominator
+
+
+def _least(den: int, ints: list[_IntPoint]) -> tuple[int, list[_IntPoint]]:
+    """Integer points over ``den``, brought to their least common denominator."""
+    g = math.gcd(den, *chain.from_iterable(ints))
+    return den // g, [(x // g, y // g) for x, y in ints]
+
+
+def _over_lcd(points: Sequence[Point]) -> tuple[int, list[_IntPoint]]:
+    """The least common denominator of ``points``, and the points over it."""
+    den = math.lcm(*{p._den for p in points})
+    return den, [(p._xy[0] * (den // p._den), p._xy[1] * (den // p._den)) for p in points]
 
 
 def _times(points: Sequence[_IntPoint], factor: int) -> list[_IntPoint]:
@@ -163,15 +208,15 @@ class PuncturedPlane:
     def __post_init__(self) -> None:
         if not self.punctures:
             raise DomainError("a punctured plane needs at least one puncture")
-        xs = [p.x for p in self.punctures]
-        if len(set(self.punctures)) != len(self.punctures):
+        den, ints = _over_lcd(self.punctures)
+        if len(set(ints)) != len(ints):
             raise DomainError("punctures must be pairwise distinct")
-        if len(set(xs)) != len(xs):
+        if len({x for x, _ in ints}) != len(ints):
             raise DomainError("punctures must have pairwise distinct x-coordinates")
-        names = tuple(f"x{j + 1}" for j in range(len(self.punctures)))
+        names = tuple(f"x{j + 1}" for j in range(len(ints)))
         object.__setattr__(self, "gens", GeneratorSet(names))
-        object.__setattr__(self, "_den", _lcd(self.punctures))
-        object.__setattr__(self, "_ints", tuple(_scale(self.punctures, self._den)))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_ints", tuple(ints))
 
 
 # The ``oracle`` suite's one-puncture plane, and ``oracle sweep``'s when none is loaded.
@@ -210,9 +255,7 @@ class FlaggedLoop:
     def __init__(
         self, vertices: Sequence[Point], flag_vertex: int, traversal: str = "F"
     ) -> None:
-        vertices = tuple(vertices)
-        den = _lcd(vertices)
-        ints = _scale(vertices, den)
+        den, ints = _over_lcd(tuple(vertices))
         n = len(ints)
         if n < 3:
             raise DomainError("a loop needs at least three vertices")
@@ -248,8 +291,16 @@ class FlaggedLoop:
 
     @property
     def vertices(self) -> tuple[Point, ...]:
+        # One gcd gives each point its own least denominator (see _set_den).
         den = self._den
-        return tuple(Point(Fraction(x, den), Fraction(y, den)) for x, y in self._ints)
+        points = []
+        for x, y in self._ints:
+            g = math.gcd(den, x, y)
+            point = object.__new__(Point)
+            points.append(point)
+            _set_den(point, den // g)
+            _set_xy(point, (x // g, y // g))
+        return tuple(points)
 
     def __repr__(self) -> str:
         return (
@@ -392,9 +443,8 @@ def normalize_flag(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> Fla
     based = loop._based
     if based is not None and (based[0] is base or based[0] == base) and based[1] is plane:
         return based[2]
-    x, y = base.x, base.y
-    den, vertices, punctures = _over_one_den(loop, plane, x.denominator, y.denominator)
-    b = (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+    den, vertices, punctures = _over_one_den(loop, plane, base._den)
+    [b] = _times([base._xy], den // base._den)
     if b in punctures:
         raise DomainError("base point coincides with a puncture")
     _check_avoids(vertices, punctures)
@@ -408,10 +458,8 @@ def normalize_flag(loop: FlaggedLoop, base: Point, plane: PuncturedPlane) -> Fla
         m, q = _detour_point(w0, b, punctures)
         ints = _times([b, *walk, w0], m)
         ints.append(q)
-        den *= m
-        # ``den`` covers the punctures too; the loop keeps the least one.
-        g = math.gcd(den, *chain.from_iterable(ints))
-        moved = FlaggedLoop._of_ints(den // g, [(x // g, y // g) for x, y in ints], 0, "F")
+        # ``den * m`` covers the punctures too; the loop keeps the least one.
+        moved = FlaggedLoop._of_ints(*_least(den * m, ints), 0, "F")
     object.__setattr__(loop, "_based", (base, plane, moved))
     return moved
 
@@ -443,12 +491,9 @@ def connected_sum(
     return FlaggedLoop._of_ints(den, [v1[0], *tail1, v1[0], *tail2], 0, "F")
 
 
-DEFAULT_BASE_POINTS: tuple[Point, ...] = (
-    Point(Fraction(1, 3), Fraction(-12)),
-    Point(Fraction(2, 7), Fraction(-14)),
-    Point(Fraction(3, 11), Fraction(-16)),
-    Point(Fraction(5, 13), Fraction(-18)),
-    Point(Fraction(7, 17), Fraction(-21)),
+DEFAULT_BASE_POINTS: tuple[Point, ...] = tuple(
+    Point.of(x, y)
+    for x, y in (("1/3", -12), ("2/7", -14), ("3/11", -16), ("5/13", -18), ("7/17", -21))
 )
 
 
@@ -563,9 +608,7 @@ def sample_loop(rng: random.Random, plane: PuncturedPlane) -> FlaggedLoop:
         except DomainError:
             continue
         # The loop keeps the least denominator, as one built from its Points would.
-        g = math.gcd(den, *chain.from_iterable(ints))
-        ints = [(x // g, y // g) for x, y in ints]
-        return FlaggedLoop._of_ints(den // g, ints, flag, traversal)
+        return FlaggedLoop._of_ints(*_least(den, ints), flag, traversal)
     raise DomainError(
         "could not sample a loop clear of the punctures; spread the punctures out"
     )
@@ -583,8 +626,15 @@ _POINT_RE = re.compile(r"\(([^(),]+),([^(),]+)\)")
 _FIELD_RE = re.compile(r"\S+")
 
 
+def _format_coordinate(n: int, den: int) -> str:
+    """``n / den`` in lowest terms: ``n`` alone when it is whole, else ``n/d``."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def format_point(p: Point) -> str:
-    return f"({p.x},{p.y})"
+    x, y = p._xy
+    return f"({_format_coordinate(x, p._den)},{_format_coordinate(y, p._den)})"
 
 
 def parse_point(token: str) -> Point:
@@ -596,17 +646,11 @@ def parse_point(token: str) -> Point:
             expected=("'(x,y)' with rational coordinates",),
         )
     try:
-        return Point(Fraction(m.group(1).strip()), Fraction(m.group(2).strip()))
-    except (ValueError, ZeroDivisionError):
+        return Point.of(m[1], m[2])
+    except ValueError:
         for text in m.groups():
             check_digit_limit(text.strip())
         raise ParseError(f"bad rational coordinate in {excerpt(token)}", column=1) from None
-
-
-def _format_coordinate(n: int, den: int) -> str:
-    """``n / den`` as :func:`format_point` writes it: ``str`` of the reduced Fraction."""
-    g = math.gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def format_loop_literal(loop: FlaggedLoop) -> str:

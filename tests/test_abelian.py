@@ -109,6 +109,11 @@ class TestAbelianVector:
             parse_vector(text)
         assert str(info.value).startswith(f"1:{column}: ")
 
+    def test_an_entry_int_refuses_but_strip_clears_is_kept(self):
+        # int() refuses "\x1c5", a space to str.strip(); the reader keeps the 5.
+        assert parse_vector("(\x1c5, 2)") == (5, 2)
+        assert parse_vector("(1, \xa0-3 )") == (1, -3)
+
 
 # Lattices up to 6x6 with entries in [-9, 9].
 LATTICE_ROWS = st.integers(1, 6).flatmap(

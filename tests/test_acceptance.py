@@ -43,28 +43,31 @@ def test_criterion(name, checks):
     assert result.checks == checks
 
 
-def test_criterion_8_cli_determinism(tmp_path):
+def run_golden_session(tmp_path: Path, **env_vars: str) -> bytes:
+    """The golden session script's stdout from ``python -m flagcalc``."""
     for name in ("session_script.txt", "fixtures.lat", "loops.plane"):
         shutil.copy(DATA / name, tmp_path / name)
     # Run the CLI from the same source tree the tests import.  A relative
     # PYTHONPATH entry (such as ``src``) would be resolved against tmp_path.
     package_root = str(Path(flagcalc.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
-    runs = []
-    for _ in range(2):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flagcalc", "session_script.txt"],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stderr == b""
-        runs.append(proc.stdout)
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagcalc", "session_script.txt"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    return proc.stdout
+
+
+def test_criterion_8_cli_determinism(tmp_path):
+    runs = [run_golden_session(tmp_path) for _ in range(2)]
     assert runs[0] == runs[1]
     golden = (DATA / "session_golden.txt").read_bytes()
     assert runs[0] == golden
@@ -75,3 +78,10 @@ def test_criterion_8_cli_determinism(tmp_path):
     ]
     assert len(commands) >= 20
     print("CRITERION 8: PASS (byte-identical transcript over two runs vs golden)")
+
+
+@pytest.mark.parametrize("seed", ["1", "12345"])
+def test_golden_session_does_not_depend_on_the_hash_seed(tmp_path, seed):
+    # str hashes, and so set and dict orders of names, change with the seed.
+    golden = (DATA / "session_golden.txt").read_bytes()
+    assert run_golden_session(tmp_path, PYTHONHASHSEED=seed) == golden

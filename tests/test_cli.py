@@ -687,6 +687,46 @@ class TestDigitLimit:
         )
 
 
+# Spellings that int() or Fraction() read but flagcalc does not.
+REFUSED_INTEGERS = ["1.5", "2e1", "1_0", "١٢", "１２", "0x10", "1/2"]
+REFUSED_IDS = ["decimal", "exponent", "underscore", "arabic-indic", "full-width", "hex", "ratio"]
+
+
+class TestAsciiIntegers:
+    """Every integer is read as ASCII ``[+-]?[0-9]+``, with the spaces around it kept."""
+
+    @pytest.mark.parametrize("token", REFUSED_INTEGERS, ids=REFUSED_IDS)
+    def test_vector_entry(self, token):
+        _, _, err, code = run(Session(), f"coset (3, {token})")
+        assert (err, code) == (
+            f"1:11: bad integer {token!r} in vector literal (expected integer)",
+            2,
+        )
+
+    @pytest.mark.parametrize("token", REFUSED_INTEGERS, ids=REFUSED_IDS)
+    def test_lattice_row(self, tmp_path, token):
+        lat = tmp_path / "bad.lat"
+        lat.write_text(f"1 0\n-3 {token} # note\n")
+        _, _, err, code = run(Session(), f"lattice load {lat}")
+        assert (err, code) == (f"2:4: bad integer {token!r} in lattice row (expected integer)", 2)
+
+    @pytest.mark.parametrize("token", REFUSED_INTEGERS, ids=REFUSED_IDS)
+    def test_option_value(self, token):
+        _, _, err, code = run(Session(), f"oracle sweep --samples {token} --seed 7")
+        assert (err, code) == ("1:24: option --samples needs an integer", 2)
+
+    def test_signs_leading_zeros_and_spaces_stay(self, tmp_path):
+        for argv in (["coset", "( +1 ,\t-02 )"], ["coset", "(\xa0+1,-02\u3000)"]):
+            assert run_command(Session(), argv)[1:] == ("(1, -2)", None, 0)
+        lat = tmp_path / "ok.lat"
+        lat.write_text("+2 -0\t007\n0 3 0 \xa0 # rows\n")
+        session = Session()
+        assert run(session, f"lattice load {lat}")[3] == 0
+        assert session.lattice.rows == ((2, 0, 7), (0, 3, 0))
+        _, out, _, code = run(Session(), "oracle sweep --samples +02 --seed 007")
+        assert code == 0 and out.startswith("oracle sweep: samples=2 seed=7")
+
+
 def deep_word(n: int = 10_000) -> list[str]:
     rng = random.Random(4)
     return [rng.choice(("a+", "a-", "b+", "b-")) for _ in range(n)]

@@ -29,6 +29,7 @@ from flagcalc.plane import (
     normalize_flag,
     parse_loop_literal,
     parse_plane_file,
+    parse_point,
     sample_loops,
     winding_number,
     winding_profile,
@@ -87,6 +88,34 @@ class TestPoint:
 
     def test_str_is_the_point_literal(self):
         assert str(Point.of(1, Fraction(-1, 2))) == "(1,-1/2)"
+
+    def test_text_reads_as_the_same_point(self):
+        p = Point.of("1/3", -12)
+        assert p == Point(Fraction(1, 3), -12) and hash(p) == hash(Point(Fraction(1, 3), -12))
+        assert Point.of(" 2/6 ", "-24/2") == p
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and hash(copy) == hash(p)
+        assert repr(p) == "Point(x=Fraction(1, 3), y=Fraction(-12, 1))"
+
+    def test_keeps_integers_over_the_least_denominator(self):
+        p = Point(Fraction(1, 6), Fraction(-3, 4))
+        assert (p._den, p._xy) == (12, (2, -9))
+        assert (p.x, p.y) == (Fraction(1, 6), Fraction(-3, 4))
+        with pytest.raises(FrozenInstanceError):
+            p._den = 1
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, "1", None], ids=repr)
+    def test_refuses_a_coordinate_that_is_not_rational(self, x):
+        with pytest.raises(DomainError):
+            Point(x, 1)
+        if not isinstance(x, str):
+            with pytest.raises(DomainError):
+                Point.of(x, 1)
+
+    @pytest.mark.parametrize("text", ["1.5", "2e1", "1_0", "1/0", "1/-2", ""])
+    def test_of_refuses_text_that_is_not_a_coordinate(self, text):
+        with pytest.raises(ValueError):
+            Point.of(0, text)
 
 
 class TestPuncturedPlane:
@@ -666,6 +695,40 @@ class TestLoopText:
     def test_plane_file_requires_punctures_first(self):
         with pytest.raises(ParseError):
             parse_plane_file("loop 0 F (1,1) (2,2) (3,1)\n")
+
+    @pytest.mark.parametrize(
+        "point",
+        ["(1.5,1)", "(2e1,1)", "(1_0,1)", "(١٢,1)", "(１２,1)", "(1/-2,1)", "(0x10,1)"],
+        ids=["decimal", "exponent", "underscore", "arabic-indic", "full-width", "1/-2", "hex"],
+    )
+    def test_plane_file_refuses_other_number_spellings(self, point):
+        with pytest.raises(ParseError) as caught:
+            parse_plane_file(f"punctures: (0,0) {point}\n")
+        assert str(caught.value) == f"1:18: bad rational coordinate in {point!r}"
+
+    def test_an_exponent_cannot_get_round_the_digit_limit(self):
+        # Read as a Fraction, this 15-character coordinate has ten million digits.
+        with pytest.raises(ParseError) as caught:
+            parse_plane_file("punctures: (0,0) (1e10000000,1)\n")
+        assert str(caught.value) == "1:18: bad rational coordinate in '(1e10000000,1)'"
+
+
+@st.composite
+def coordinate_texts(draw) -> str:
+    """A coordinate in the kept grammar ``[+-]?[0-9]+(/[0-9]+)?``, with spaces around it."""
+    digits = st.text("0123456789", min_size=1, max_size=12)
+    text = draw(st.sampled_from(["", "+", "-"])) + draw(digits)
+    if draw(st.booleans()):
+        text += "/" + draw(digits.filter(lambda d: int(d) != 0))
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " "]))
+
+
+class TestCoordinateGrammar:
+    @given(coordinate_texts(), coordinate_texts())
+    def test_reads_as_fractions_read_it(self, a, b):
+        expected = Point(Fraction(a), Fraction(b))
+        assert parse_point(f"({a},{b})") == expected
+        assert format_point(parse_point(f"({a},{b})")) == f"({Fraction(a)},{Fraction(b)})"
 
 
 # --- exact predicates against independent references ------------------------
