@@ -28,7 +28,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, ParseError, parse_at, plain_digits, read_int, strip_comment
+from .errors import (
+    DomainError, ParseError, parse_at, plain_digits, read_int, strip_comment, too_long_to_write
+)
 from .words import GeneratorSet, SignedWord, letter_tokens
 
 
@@ -175,7 +177,10 @@ def format_multiset(counts: tuple[int, ...], gens: GeneratorSet) -> str:
 
 def format_vector(coords: tuple[int, ...]) -> str:
     """Render integers as ``(2, -1)``; a single one renders as ``(2)``."""
-    return "(" + ", ".join(str(c) for c in coords) + ")"
+    try:
+        return "(" + ", ".join(str(c) for c in coords) + ")"
+    except ValueError:
+        raise too_long_to_write() from None
 
 
 def parse_vector(text: str) -> tuple[int, ...]:

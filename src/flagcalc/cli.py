@@ -349,8 +349,10 @@ def _cmd_sum(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     base = parse_at(1, base_start + 1, planes.parse_point, base_text)
     result = planes.connected_sum(l1, sigma, tau, l2, base, plane)
     (name,) = _loop_names(session.bindings, 1)
+    # Written before it is bound, so that a result too long to write binds nothing.
+    text = f"{name} = {planes.format_loop_literal(result)}"
     session.bindings[name] = result
-    return f"{name} = {planes.format_loop_literal(result)}", 0
+    return text, 0
 
 
 def _cmd_oracle(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
@@ -422,12 +424,8 @@ def _cmd_save(session: Session, line: str, args: list[Token]) -> tuple[str, int]
 def _cmd_load(session: Session, line: str, args: list[Token]) -> tuple[str, int]:
     _arity(args, 1, "load <file>")
     path = args[0][0]
-    loaded = _parse_file(path, _parse_session_text)
-    session.gens = loaded.gens
-    session.canon = loaded.canon
-    session.lattice = loaded.lattice
-    session.plane = loaded.plane
-    session.bindings = loaded.bindings
+    # Every field is replaced, and only once the whole file has been read.
+    vars(session).update(vars(_parse_file(path, _parse_session_text)))
     return f"loaded {path}", 0
 
 
@@ -519,106 +517,86 @@ def _parse_session_text(text: str) -> Session:
     session = Session()
     canon: set[words.SignedWord] = set()
     seen: set[str] = set()
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        line = strip_comment(lines[i]).rstrip()
-        i += 1
-        # The fields that any head needs; each field, and each payload after
-        # its head or kind, is read where it stands in the line.
+    lines = enumerate(text.splitlines(), start=1)
+
+    def read(line: str) -> None:
+        """Read one line into ``session``; a lattice header reads its rows from ``lines``."""
+        # The fields any head needs; they and the payloads after them keep their columns.
         fields = list(islice(_FIELD_RE.finditer(line), 4))
         if not fields:
-            continue
+            return
         head = fields[0].group()
         if head in ("gens", "policy", "lattice", "punctures:"):
-            # At most once each: a second one could break the bindings read
-            # under the first.
+            # At most once each: a second could break the bindings read under the first.
             if head in seen:
-                raise ParseError(f"duplicate {head!r} line", line=lineno)
+                raise ParseError(f"duplicate {head!r} line")
             seen.add(head)
-        try:
-            if head == "gens":
-                session.gens = words.GeneratorSet.of(*line[fields[0].end():].split())
-            elif head == "policy":
-                # Older files name the canonical choice; the 'canon' lines
-                # already say it.
-                policy = line[fields[0].end():].strip()
-                if policy not in ("lex", "explicit"):
-                    raise ParseError(
-                        f"unknown policy {policy!r}", line=lineno, expected=("lex", "explicit")
-                    )
-            elif head == "canon":
+        if head == "gens":
+            session.gens = words.GeneratorSet.of(*line[fields[0].end():].split())
+        elif head == "policy":
+            # Older files name the canonical choice, which the 'canon' lines already say.
+            policy = line[fields[0].end():].strip()
+            if policy not in ("lex", "explicit"):
+                raise ParseError(f"unknown policy {policy!r}", expected=("lex", "explicit"))
+        elif head == "canon":
+            gens = session.gens
+            if gens is None:
+                raise DomainError("'canon' line before any 'gens' line")
+            end = fields[0].end()
+            canon.add(parse_at(1, end + 1, words.parse_word, line[end:], gens))
+        elif head == "lattice":
+            if len(fields) != 3:
+                raise ParseError("lattice header needs row count and dimension")
+            message = "bad integer {} in lattice header"
+            n_rows, dim = (parse_at(1, f.start() + 1, read_int, f[0], message) for f in fields[1:])
+            if n_rows < 0:
+                raise ParseError(f"negative lattice row count {n_rows}")
+            rows = []
+            # A row's errors name its line below the header; unlike islice, range takes any count.
+            for offset, (_, raw) in zip(range(2, n_rows + 2), lines):
+                row = parse_at(offset, 1, abelian.parse_lattice_row, raw)
+                if len(row) != dim:
+                    message = f"lattice row {tuple(row)!r} does not have dimension {dim}"
+                    raise ParseError(message, line=offset)
+                rows.append(row)
+            if len(rows) < n_rows:
+                raise ParseError("lattice header promises more rows than the file has")
+            session.lattice = abelian.RelationLattice.from_rows(rows, dim=dim)
+        elif head == "punctures:":
+            session.plane = planes.parse_punctures_line(line)
+        elif head == "bind":
+            if len(fields) < 3:
+                raise ParseError("usage: bind <name> <word|tree|loop> <literal>")
+            name, kind = fields[1].group(), fields[2].group()
+            if not _NAME_RE.fullmatch(name):
+                raise ParseError(f"bad binding name {name!r}")
+            if name in session.bindings:
+                raise ParseError(f"duplicate binding name {name!r}")
+            if kind in ("word", "tree"):
                 gens = session.gens
                 if gens is None:
-                    raise DomainError("'canon' line before any 'gens' line")
-                end = fields[0].end()
-                canon.add(parse_at(lineno, end + 1, words.parse_word, line[end:], gens))
-            elif head == "lattice":
-                if len(fields) != 3:
-                    raise ParseError(
-                        "lattice header needs row count and dimension", line=lineno
-                    )
-                message = "bad integer {} in lattice header"
-                n_rows, dim = (
-                    parse_at(lineno, f.start() + 1, read_int, f.group(), message)
-                    for f in fields[1:]
-                )
-                if n_rows < 0:
-                    raise ParseError(f"negative lattice row count {n_rows}", line=lineno)
-                rows = []
-                for _ in range(n_rows):
-                    if i >= len(lines):
-                        raise ParseError(
-                            "lattice header promises more rows than the file has",
-                            line=lineno,
-                        )
-                    i += 1
-                    row = parse_at(i, 1, abelian.parse_lattice_row, lines[i - 1])
-                    if len(row) != dim:
-                        message = f"lattice row {tuple(row)!r} does not have dimension {dim}"
-                        raise ParseError(message, line=i)
-                    rows.append(row)
-                session.lattice = abelian.RelationLattice.from_rows(rows, dim=dim)
-            elif head == "punctures:":
-                session.plane = parse_at(lineno, 1, planes.parse_punctures_line, line)
-            elif head == "bind":
-                if len(fields) < 3:
-                    raise ParseError(
-                        "usage: bind <name> <word|tree|loop> <literal>", line=lineno
-                    )
-                name, kind = fields[1].group(), fields[2].group()
-                if not _NAME_RE.fullmatch(name):
-                    raise ParseError(f"bad binding name {name!r}", line=lineno)
-                if name in session.bindings:
-                    raise ParseError(f"duplicate binding name {name!r}", line=lineno)
-                if kind in ("word", "tree"):
-                    gens = session.gens
-                    if gens is None:
-                        raise DomainError(f"{kind} binding before any 'gens' line")
-                    parse = words.parse_word if kind == "word" else trees.parse_tree
-                    end = fields[2].end()
-                    session.bindings[name] = parse_at(lineno, end + 1, parse, line[end:], gens)
-                elif kind == "loop":
-                    if session.plane is None:
-                        raise DomainError("loop binding before any 'punctures:' line")
-                    # The loop literal starts with its kind, 'loop'.
-                    start = fields[2].start()
-                    session.bindings[name] = parse_at(
-                        lineno, start + 1, planes.parse_loop_in, line[start:], session.plane
-                    )
-                else:
-                    raise ParseError(
-                        f"unknown binding kind {kind!r}",
-                        line=lineno,
-                        expected=("word", "tree", "loop"),
-                    )
+                    raise DomainError(f"{kind} binding before any 'gens' line")
+                parse = words.parse_word if kind == "word" else trees.parse_tree
+                end = fields[2].end()
+                session.bindings[name] = parse_at(1, end + 1, parse, line[end:], gens)
+            elif kind == "loop":
+                if session.plane is None:
+                    raise DomainError("loop binding before any 'punctures:' line")
+                start = fields[2].start()  # of the loop literal, which starts with 'loop'
+                loop = parse_at(1, start + 1, planes.parse_loop_in, line[start:], session.plane)
+                session.bindings[name] = loop
             else:
-                raise ParseError(
-                    f"unknown session directive {head!r}",
-                    line=lineno,
-                    expected=("gens", "canon", "lattice", "punctures:", "bind"),
-                )
+                expected = ("word", "tree", "loop")
+                raise ParseError(f"unknown binding kind {kind!r}", expected=expected)
+        else:
+            raise ParseError(
+                f"unknown session directive {head!r}",
+                expected=("gens", "canon", "lattice", "punctures:", "bind"),
+            )
+
+    for lineno, line in lines:
+        try:
+            parse_at(lineno, 1, read, strip_comment(line).rstrip())
         except DomainError as exc:
             raise ParseError(str(exc), line=lineno) from None
     session.canon = frozenset(canon)

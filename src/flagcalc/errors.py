@@ -97,6 +97,14 @@ def check_digit_limit(token: str) -> None:
         )
 
 
+def too_long_to_write() -> ResourceLimitError:
+    """The error to raise where ``str`` refused to write an integer past the interpreter's limit."""
+    return ResourceLimitError(
+        f"result has a number longer than {sys.get_int_max_str_digits()} digits, the "
+        "interpreter's limit on writing an integer (sys.get_int_max_str_digits())"
+    )
+
+
 def parse_at(line: int, column: int, parse: Callable[..., _T], text: str, *args: object) -> _T:
     """``parse(text, *args)``, with a parse error moved to where ``text`` starts.
 
@@ -128,9 +136,10 @@ def read_int(token: str, message: str, expected: tuple[str, ...] = ("integer",))
     stands for an excerpt of ``token``.  A number too long to read is a
     :class:`ResourceLimitError` (:func:`check_digit_limit`).
     """
+    text = token.strip()  # int() strips fewer characters: not \x1c-\x1f
     try:
-        if plain_digits(token.strip()):
-            return int(token)
+        if plain_digits(text):
+            return int(text)
     except ValueError:
         pass
     check_digit_limit(token)

@@ -54,6 +54,7 @@ from .errors import (
     parse_at,
     read_int,
     strip_comment,
+    too_long_to_write,
 )
 from .words import GeneratorSet, Sign, SignedWord, _check_sign, free_reduce
 
@@ -135,7 +136,10 @@ def _least(den: int, ints: list[_IntPoint]) -> tuple[int, list[_IntPoint]]:
 
 
 def _over_lcd(points: Sequence[Point]) -> tuple[int, list[_IntPoint]]:
-    """The least common denominator of ``points``, and the points over it."""
+    """The least common denominator of ``points``, and the points over it; each must be a Point."""
+    for p in points:
+        if not isinstance(p, Point):
+            raise DomainError(f"a point must be a Point, not {type(p).__name__}")
     den = math.lcm(*{p._den for p in points})
     return den, [(p._xy[0] * (den // p._den), p._xy[1] * (den // p._den)) for p in points]
 
@@ -632,9 +636,16 @@ def _format_coordinate(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
+def _format_pair(xy: _IntPoint, den: int) -> str:
+    """``(x,y)`` for the integer point ``xy`` over ``den``."""
+    try:
+        return f"({_format_coordinate(xy[0], den)},{_format_coordinate(xy[1], den)})"
+    except ValueError:
+        raise too_long_to_write() from None
+
+
 def format_point(p: Point) -> str:
-    x, y = p._xy
-    return f"({_format_coordinate(x, p._den)},{_format_coordinate(y, p._den)})"
+    return _format_pair(p._xy, p._den)
 
 
 def parse_point(token: str) -> Point:
@@ -654,11 +665,7 @@ def parse_point(token: str) -> Point:
 
 
 def format_loop_literal(loop: FlaggedLoop) -> str:
-    den = loop._den
-    points = " ".join(
-        f"({_format_coordinate(x, den)},{_format_coordinate(y, den)})"
-        for x, y in loop._ints
-    )
+    points = " ".join(_format_pair(xy, loop._den) for xy in loop._ints)
     return f"loop {loop.flag_vertex} {loop.traversal} {points}"
 
 

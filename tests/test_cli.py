@@ -584,6 +584,29 @@ class TestSessionPersistence:
         _, _, err, code = run(Session(), f"load {path}")
         assert (err, code) == (error, 2)
 
+    def test_a_row_count_past_any_file_is_refused(self, tmp_path):
+        path = tmp_path / "many.session"
+        path.write_text(f"gens a\nlattice {sys.maxsize + 1} 1\n3\n")
+        _, _, err, code = run(Session(), f"load {path}")
+        assert (err, code) == ("2:1: lattice header promises more rows than the file has", 2)
+
+    def test_lattice_rows_are_read_as_lines_of_the_file(self, tmp_path):
+        # The rows are not directives, and what follows them is.
+        path = tmp_path / "rows.session"
+        path.write_text("lattice 2 2  # rows\n1 0\n0 2\ngens a\ncanon a+ q+\n")
+        _, _, err, code = run(Session(), f"load {path}")
+        assert (err, code) == ("5:10: unknown generator 'q' (expected declared generator name)", 2)
+        path.write_text("gens a\nlattice 3 2\n1 0\n0 1\n  0 x  # last\n")
+        _, _, err, code = run(Session(), f"load {path}")
+        assert (err, code) == ("5:5: bad integer 'x' in lattice row (expected integer)", 2)
+        # A blank line below the header is a row, with no entries.
+        path.write_text("gens a\nlattice 3 2\n1 0\n\n0 1\n")
+        _, _, err, code = run(Session(), f"load {path}")
+        assert (err, code) == ("4:1: lattice row () does not have dimension 2", 2)
+        path.write_text("gens a\nlattice 0 -1\n")
+        _, _, err, code = run(Session(), f"load {path}")
+        assert (err, code) == ("2:1: lattice dimension must be an int >= 1, not -1", 2)
+
     def test_bad_session_directive_is_syntax_error(self, tmp_path):
         path = tmp_path / "bad.session"
         path.write_text("gens a\nwibble 3\n")
@@ -678,6 +701,40 @@ class TestDigitLimit:
             path.write_text(f"punctures: (0,0)\n{loop}\n")
             self.assert_refused(*run(Session(), f"plane load {path}")[2:])
 
+    def assert_fails_alone(self, session, line, next_line, next_out):
+        """``line`` fails with one error line and changes nothing; ``next_line`` still runs."""
+        before = {**vars(session), "bindings": dict(session.bindings)}
+        out, err = io.StringIO(), io.StringIO()
+        code = run_script(f"{line}\n{next_line}\n", session, out=out, err=err)
+        assert (out.getvalue(), code) == (next_out, 1)
+        limit = sys.get_int_max_str_digits()
+        assert err.getvalue() == (
+            f"error: result has a number longer than {limit} digits, the interpreter's limit on "
+            "writing an integer (sys.get_int_max_str_digits())\n"
+        )
+        assert {**vars(session), "bindings": dict(session.bindings)} == before
+
+    def test_a_sum_too_long_to_write_binds_nothing(self, tmp_path):
+        # Each coordinate can be read, but the sum's are over a longer denominator.
+        den = "1" + "0" * (sys.get_int_max_str_digits() - 2) + "1"
+        plane = tmp_path / "long.plane"
+        long_loop = f"loop 0 F (1,-1/{den}) (1,1) (-1,1) (-1,-1)"
+        plane.write_text(f"punctures: (0,0)\n{long_loop}\n{SQUARE}\n")
+        session, saved = Session(), tmp_path / "after.session"
+        assert run(session, f"plane load {plane}")[3] == 0
+        line = "sum +- loop1 loop2 --base (1/3,-12)"
+        self.assert_fails_alone(session, line, f"save {saved}", f"saved {saved}\n")
+        bound = f"bind loop1 {long_loop}\nbind loop2 {SQUARE}\n"
+        assert saved.read_text() == f"punctures: (0,0)\n{bound}"
+
+    def test_a_coset_too_long_to_write(self, tmp_path):
+        nines = "9" * sys.get_int_max_str_digits()
+        lat = tmp_path / "long.lat"
+        lat.write_text(f"2 {nines}\n")
+        session = Session()
+        assert run(session, f"lattice load {lat}")[3] == 0
+        self.assert_fails_alone(session, f"coset ({nines}, 0)", "coset (0, 5)", "(0, 5)\n")
+
     def test_a_long_bad_token_is_echoed_in_part(self):
         _, _, err, code = run(Session(), f"coset ({'9' * 100}x, 1)")
         assert (err, code) == (
@@ -714,6 +771,17 @@ class TestAsciiIntegers:
     def test_option_value(self, token):
         _, _, err, code = run(Session(), f"oracle sweep --samples {token} --seed 7")
         assert (err, code) == ("1:24: option --samples needs an integer", 2)
+
+    @pytest.mark.parametrize("space", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_what_str_strip_removes_is_a_space_everywhere(self, space):
+        # int() keeps these characters that str.strip removes; both readers strip first.
+        assert run_command(Session(), ["coset", f"({space}5,{space}2{space})"])[1:] == (
+            "(5, 2)", None, 0
+        )
+        argv = ["oracle", "sweep", "--samples", f"{space}2{space}", "--seed", f"{space}7"]
+        _, out, err, code = run_command(Session(), argv)
+        assert (err, code) == (None, 0)
+        assert out.startswith("oracle sweep: samples=2 seed=7\n")
 
     def test_signs_leading_zeros_and_spaces_stay(self, tmp_path):
         for argv in (["coset", "( +1 ,\t-02 )"], ["coset", "(\xa0+1,-02\u3000)"]):

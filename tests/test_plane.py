@@ -131,6 +131,12 @@ class TestPuncturedPlane:
         with pytest.raises(DomainError):
             PuncturedPlane(())
 
+    @pytest.mark.parametrize("puncture", [(5, 0), Fraction(5), None])
+    def test_refuses_a_puncture_that_is_not_a_point(self, puncture):
+        message = f"^a point must be a Point, not {type(puncture).__name__}$"
+        with pytest.raises(DomainError, match=message):
+            PuncturedPlane((ORIGIN, puncture))
+
     def test_gens_name_one_letter_per_puncture(self):
         assert TWO_PUNCTURES.gens.names == ("x1", "x2")
         assert repr(ONE_PUNCTURE) == f"PuncturedPlane(punctures={(ORIGIN,)!r})"
@@ -154,6 +160,30 @@ class TestFlaggedLoop:
     def test_rejects_repeated_consecutive_vertices(self):
         with pytest.raises(DomainError):
             FlaggedLoop((ORIGIN, ORIGIN, Point.of(1, 1)), 0)
+
+    def test_refuses_vertices_that_are_not_points(self):
+        with pytest.raises(DomainError, match="a point must be a Point, not tuple"):
+            FlaggedLoop([(0, 0), (1, 0), (0, 1)], 0)
+        with pytest.raises(DomainError, match="not str"):
+            FlaggedLoop((ORIGIN, Point.of(1, 0), "(0,1)"), 0)
+
+    def test_derived_loops_are_not_checked_again(self, monkeypatch):
+        # Only the public constructors read points through _over_lcd.
+        calls = []
+        over_lcd = plane_module._over_lcd
+
+        def counted(points):
+            calls.append(points)
+            return over_lcd(points)
+
+        monkeypatch.setattr(plane_module, "_over_lcd", counted)
+        base = Point.of(Fraction(1, 3), -12)
+        a, b = sample_loops(TWO_PUNCTURES, 2, 7)
+        moved = normalize_flag(a, base, TWO_PUNCTURES)
+        connected_sum(moved, 1, -1, b, base, TWO_PUNCTURES)
+        assert calls == []
+        FlaggedLoop(moved.vertices, 0)
+        assert calls == [moved.vertices]
 
     def test_walk_rotates_to_flag(self):
         loop = FlaggedLoop(CCW_SQUARE.vertices, 2)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import flagcalc
-from flagcalc import cli, plane, trees
+from flagcalc import cli, plane, trees, words
 from flagcalc.abelian import RelationLattice
 from flagcalc.errors import DomainError
 from flagcalc.plane import Point, PuncturedPlane, winding_profile
@@ -16,6 +16,7 @@ from flagcalc.suites import (
     SuiteResult,
     _contractible_square,
     _exact_member,
+    monoid_suite,
     trees_suite,
     verify_group_law,
 )
@@ -87,6 +88,18 @@ def test_trees_suite_catches_a_flip_that_keeps_the_signs(monkeypatch):
     assert _flip_mismatches(result) == 60_008
 
 
+def test_monoid_suite_catches_a_concat_that_cancels(monkeypatch):
+    # With free reduction, w * involution(w) is the empty word: the group,
+    # which the signed-word monoid is not.  Its abelian image stays zero.
+    concat = words.SignedWord.concat
+    monkeypatch.setattr(
+        words.SignedWord, "concat", lambda self, other: words.free_reduce(concat(self, other))
+    )
+    result = monoid_suite()
+    assert (result.passed, result.checks, len(result.failures)) == (False, 516, 258)
+    assert all(f.endswith(" cancelled against its involution") for f in result.failures)
+
+
 ONE_PUNCTURE = PuncturedPlane((Point.of(0, 0),))
 TWO_PUNCTURES = PuncturedPlane((Point.of(0, 0), Point.of(10, 0)))
 THREE_PUNCTURES = PuncturedPlane(
@@ -123,6 +136,12 @@ class TestGroupLawOracle:
         corners = _contractible_square(THREE_PUNCTURES).vertices
         assert corners[0] == Point.of(17, Fraction(-58, 7))
         assert _contractible_square(ONE_PUNCTURE).vertices[0] == Point.of(7, -8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_passes_on_one_sample(self, seed):
+        laws = verify_group_law(plane.ORIGIN_PLANE, samples=1, seed=seed)
+        assert [law.checks for law in laws] == [1, 2, 1, 1]
+        assert all(law.passed for law in laws)
 
     def test_requires_a_sample(self):
         with pytest.raises(DomainError):
