@@ -272,8 +272,10 @@ def _cmd_orbit(session: Session, line: str, args: list[Token]) -> tuple[str, int
     cap = _int_option(opts, "cap", trees.DEFAULT_CLOSURE_CAP)
     rooted = _resolve_tree(session, *_literal(line, pos, "orbit <tree> [--cap K]"))
     orbit = trees.move_closure(rooted, cap)
-    literals = sorted(trees.format_tree(member, gens) for member in orbit)
-    return "\n".join([f"orbit size: {len(orbit)}"] + literals), 0
+    # Each tree is a member at both root signs, and "[+" sorts before "[-".
+    plus = sorted(trees.format_tree(m, gens) for m in orbit if m.root_sign == words.PLUS)
+    minus = ["[-" + literal[2:] for literal in plus]
+    return "\n".join([f"orbit size: {len(orbit)}"] + plus + minus), 0
 
 
 def _cmd_ms(session: Session, line: str, args: list[Token]) -> tuple[str, int]:

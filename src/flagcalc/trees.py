@@ -13,7 +13,9 @@ enumerates everything reachable from a rooted presentation by flips (with
 the governing sign slot toggled so the evaluated word is preserved), by the
 root-sign toggle (switching to the anti presentation), and by reassociation
 of nested ``(+,-)`` nodes.  Every member of a closure evaluates into the same
-presentation class.
+presentation class.  The toggle reaches ``(t, -s)`` from every ``(t, s)``,
+and no other move depends on the root sign, so a closure is a set of trees,
+each at both root signs: the search runs over bare trees.
 
 ``Leaf``, ``Node`` and ``RootedPresentation`` are immutable tuple records, so
 they are built, hashed and compared in C.  Their public constructors check
@@ -205,14 +207,15 @@ def _variants(tree: PairingTree) -> Iterator[PairingTree]:
         yield _new(Node, (sigma, tau, left, sub))
 
 
-def neighbors(rooted: RootedPresentation) -> Iterator[RootedPresentation]:
-    """All rooted presentations one move away."""
-    tree, root_sign = rooted
-    yield _new(RootedPresentation, (tree, -root_sign))
+def neighbors(tree: PairingTree) -> Iterator[PairingTree]:
+    """All trees one move away: the root flip, then :func:`_variants`.
+
+    A root flip also toggles the root sign, and the toggle alone changes no
+    tree, so neither sign appears here; :func:`move_closure` adds both.
+    """
     if type(tree) is Node:
-        yield _new(RootedPresentation, (flip(tree), -root_sign))
-    for variant in _variants(tree):
-        yield _new(RootedPresentation, (variant, root_sign))
+        yield flip(tree)
+    yield from _variants(tree)
 
 
 def move_closure(
@@ -220,9 +223,11 @@ def move_closure(
 ) -> frozenset[RootedPresentation]:
     """Everything reachable from ``rooted`` by single moves, ``rooted`` included.
 
-    Raises :class:`ResourceLimitError` as soon as the closure would exceed
-    ``cap`` members, and :class:`RecursionError` for a tree nested deeper
-    than the interpreter's recursion limit.
+    The search runs over bare trees by :func:`neighbors`, and every tree it
+    reaches is a member at both root signs.  Raises
+    :class:`ResourceLimitError` as soon as the closure would exceed ``cap``
+    members, and :class:`RecursionError` for a tree nested deeper than the
+    interpreter's recursion limit.
     """
     if cap < 1:
         raise DomainError(f"closure cap must be positive, got {cap}")
@@ -238,19 +243,21 @@ def move_closure(
             raise RecursionError("pairing tree nested deeper than the recursion limit")
         if type(tree) is Node:
             below += ((tree[2], depth + 1), (tree[3], depth + 1))
-    seen = {rooted}
-    frontier = [rooted]
-    while frontier:
-        current = frontier.pop()
-        for nb in neighbors(current):
+    seen = {rooted.tree}
+    frontier = [rooted.tree]
+    # Each tree found is two members, so even the start alone can exceed the cap.
+    while frontier and 2 * len(seen) <= cap:
+        for nb in neighbors(frontier.pop()):
             if nb not in seen:
                 seen.add(nb)
-                if len(seen) > cap:
-                    raise ResourceLimitError(
-                        f"move closure exceeded cap of {cap} presentations"
-                    )
+                if 2 * len(seen) > cap:
+                    break
                 frontier.append(nb)
-    return frozenset(seen)
+    if 2 * len(seen) > cap:
+        raise ResourceLimitError(f"move closure exceeded cap of {cap} presentations")
+    return frozenset(
+        _new(RootedPresentation, (tree, sign)) for tree in seen for sign in (PLUS, MINUS)
+    )
 
 
 def all_trees(n_leaves: int, n_gens: int) -> Iterator[PairingTree]:

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import flagcalc
+from flagcalc import trees
 from flagcalc.cli import (
     MAX_SWEEP_SAMPLES,
     Session,
@@ -20,6 +21,7 @@ from flagcalc.cli import (
     run_command,
     run_script,
 )
+from flagcalc.words import MINUS, PLUS, GeneratorSet
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,6 +98,77 @@ class TestWordCommands:
         _, out, err, code = run(Session(), "inv a+")
         assert code == 1
         assert "gens" in err
+
+
+def random_tree(rng: random.Random, n_leaves: int, n_gens: int) -> trees.PairingTree:
+    if n_leaves == 1:
+        return trees.Leaf(rng.randrange(n_gens))
+    left = rng.randint(1, n_leaves - 1)
+    return trees.Node(
+        rng.choice((PLUS, MINUS)),
+        rng.choice((PLUS, MINUS)),
+        random_tree(rng, left, n_gens),
+        random_tree(rng, n_leaves - left, n_gens),
+    )
+
+
+class TestOrbitOutput:
+    """``orbit`` prints the orbit's size, then the literals of all its members, sorted."""
+
+    GENS = GeneratorSet.of("a", "b")
+
+    def assert_prints_its_closure(self, starts):
+        session = Session()
+        run(session, "gens a b")
+        printed: dict[frozenset, str] = {}  # by orbit, as every member prints the same
+        count = 0
+        for start in starts:
+            orbit = trees.move_closure(start)
+            if orbit not in printed:
+                literals = sorted(trees.format_tree(m, self.GENS) for m in orbit)
+                printed[orbit] = "\n".join([f"orbit size: {len(orbit)}"] + literals)
+            line = ["orbit", trees.format_tree(start, self.GENS)]
+            _, out, err, code = run_command(session, line)
+            assert (out, err, code) == (printed[orbit], None, 0)
+            count += 1
+        return count
+
+    def test_every_start_up_to_four_leaves(self):
+        starts = (r for n in range(1, 5) for r in trees.iter_rooted(n, len(self.GENS)))
+        assert self.assert_prints_its_closure(starts) == 10_788
+
+    def test_five_leaf_starts_at_minus_with_every_root_sign_pair(self):
+        starts = []
+        for seed in range(12):
+            tree = random_tree(random.Random(seed), 5, len(self.GENS))
+            for sigma in (PLUS, MINUS):
+                for tau in (PLUS, MINUS):
+                    root = trees.Node(sigma, tau, tree.left, tree.right)
+                    starts.append(trees.RootedPresentation(root, MINUS))
+        assert self.assert_prints_its_closure(starts) == 48
+
+    def test_a_leaf_orbit_counts_both_root_signs_against_the_cap(self):
+        out, err, code = script_output("gens a b\norbit leaf:a --cap 1\norbit leaf:a --cap 2\n")
+        assert out == "generators: a b\norbit size: 2\n[+ leaf:a]\n[- leaf:a]\n"
+        assert (err, code) == ("error: move closure exceeded cap of 1 presentations\n", 1)
+
+    def test_the_search_calls_neighbors_through_the_module(self, monkeypatch):
+        # ``bench/layers.py`` counts closure neighbours by patching ``trees.neighbors``.
+        start = trees.parse_tree("[+ (pair +- leaf:a leaf:b)]", self.GENS)
+        found = sorted({m.tree for m in trees.move_closure(start)})
+        calls = []
+        search = trees.neighbors
+
+        def counting(tree):
+            calls.append(tree)
+            return search(tree)
+
+        monkeypatch.setattr(trees, "neighbors", counting)
+        session = Session()
+        run(session, "gens a b")
+        _, out, _, code = run_command(session, ["orbit", "[+ (pair +- leaf:a leaf:b)]"])
+        assert (out.splitlines()[0], code) == ("orbit size: 4", 0)
+        assert sorted(calls) == found
 
 
 class TestErrorCodes:

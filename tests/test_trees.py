@@ -12,9 +12,11 @@ from flagcalc.errors import (
     UnknownGeneratorError,
 )
 from flagcalc.trees import (
+    DEFAULT_CLOSURE_CAP,
     Leaf,
     Node,
     RootedPresentation,
+    _variants,
     all_trees,
     eval_tree,
     flip,
@@ -56,6 +58,65 @@ def rebuild(rooted: RootedPresentation) -> RootedPresentation:
         return Node(t.sigma, t.tau, tree(t.left), tree(t.right))
 
     return RootedPresentation(tree(rooted.tree), rooted.root_sign)
+
+
+def reference_closure(
+    rooted: RootedPresentation, cap: int = DEFAULT_CLOSURE_CAP
+) -> frozenset[RootedPresentation]:
+    """The closure searched over rooted presentations, the root-sign toggle a move of its own.
+
+    The search ``move_closure`` made before it ran over bare trees.
+    """
+
+    def neighbors(rooted):
+        tree, root_sign = rooted
+        yield RootedPresentation(tree, -root_sign)
+        if isinstance(tree, Node):
+            yield RootedPresentation(flip(tree), -root_sign)
+        for variant in _variants(tree):
+            yield RootedPresentation(variant, root_sign)
+
+    seen = {rooted}
+    frontier = [rooted]
+    while frontier:
+        for nb in neighbors(frontier.pop()):
+            if nb not in seen:
+                seen.add(nb)
+                if len(seen) > cap:
+                    raise ResourceLimitError(f"move closure exceeded cap of {cap} presentations")
+                frontier.append(nb)
+    return frozenset(seen)
+
+
+@pytest.fixture(scope="module")
+def reference_orbits() -> list[tuple[RootedPresentation, frozenset[RootedPresentation]]]:
+    """Each orbit of 1 to 4 leaves over 2 generators, by :func:`reference_closure`, with its start."""
+    orbits = []
+    seen = set()
+    for n in range(1, 5):
+        for rooted in iter_rooted(n, len(GENS)):
+            if rooted not in seen:
+                orbit = reference_closure(rooted)
+                seen.update(orbit)
+                orbits.append((rooted, orbit))
+    return orbits
+
+
+signs = st.sampled_from((PLUS, MINUS))
+
+
+@st.composite
+def trees_of(draw, n_leaves: int, n_gens: int):
+    """A pairing tree with ``n_leaves`` leaves over ``n_gens`` generators."""
+    if n_leaves == 1:
+        return Leaf(draw(st.integers(0, n_gens - 1)))
+    left = draw(st.integers(1, n_leaves - 1))
+    return Node(
+        draw(signs),
+        draw(signs),
+        draw(trees_of(left, n_gens)),
+        draw(trees_of(n_leaves - left, n_gens)),
+    )
 
 
 def derived_presentations():
@@ -257,6 +318,39 @@ class TestMoveClosure:
 
     def test_cap_equal_to_orbit_size_is_fine(self):
         assert len(move_closure(word_to_tree(w("a+ b+")), cap=4)) == 4
+
+    def test_equals_the_search_over_rooted_presentations(self, reference_orbits):
+        assert len(reference_orbits) == 476
+        assert sum(len(orbit) for _, orbit in reference_orbits) == 10_788
+        for start, orbit in reference_orbits:
+            assert move_closure(start) == orbit
+
+    @given(st.integers(5, 6).flatmap(lambda n: trees_of(n, len(GENS3))), signs)
+    def test_equals_the_search_over_rooted_presentations_sampled(self, tree, root_sign):
+        start = RootedPresentation(tree, root_sign)
+        assert move_closure(start) == reference_closure(start)
+
+    def test_cap_bounds_every_orbit_exactly(self, reference_orbits):
+        for start, orbit in reference_orbits:
+            assert move_closure(start, cap=len(orbit)) == orbit
+            cap = len(orbit) - 1
+            with pytest.raises(ResourceLimitError) as info:
+                move_closure(start, cap=cap)
+            assert str(info.value) == f"move closure exceeded cap of {cap} presentations"
+
+    @pytest.mark.parametrize(
+        "start, cap",
+        [
+            (RootedPresentation(Leaf(0)), 1),
+            (RootedPresentation(Leaf(1), MINUS), 1),
+            (word_to_tree(w("a+ b+")), 3),
+        ],
+        ids=["leaf", "leaf-minus", "four-members"],
+    )
+    def test_cap_counts_both_root_signs(self, start, cap):
+        with pytest.raises(ResourceLimitError, match=f"exceeded cap of {cap} presentations"):
+            move_closure(start, cap=cap)
+        assert len(move_closure(start, cap=cap + 1)) == cap + 1
 
 
 class TestTreeText:
